@@ -14,7 +14,6 @@ from .economy import (
     Economy,
     EmissionAccount,
     build_economy,
-    demand_identity_residual,
     validate_balance,
 )
 from .errors import (
@@ -44,6 +43,7 @@ from .leontief import (
     attribute_to_demand,
     attribute_to_value_added,
     consumer_direct_footprint,
+    demand_identity_residual,
     direct_intensity,
     leontief_inverse,
     systemic_intensity,

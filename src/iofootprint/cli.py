@@ -41,6 +41,26 @@ from .tableio import parse_emissions, parse_table, write_emissions, write_table
 # Conservation residuals beyond this are treated as a failed attribution.
 ATTRIBUTION_RESIDUAL_LIMIT = 1e-8
 
+# Bounds on user-controlled sizes. Generation holds several n x n float
+# arrays and their 17-digit text at once, and perturbation spawns every
+# sample's RNG substream up front; values outside these ranges are usage
+# errors, rejected before anything is allocated.
+GENERATE_MAX_SECTORS = 5000
+PERTURB_MAX_SAMPLES = 100_000
+
+
+def _int_in(low: int, high: int):
+    """An argparse type: an int in ``low..high`` inclusive."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(
+                f"must lie in {low}..{high}, got {value}"
+            )
+        return value
+    parse.__name__ = "int"  # argparse names the type in its ValueError message
+    return parse
+
 
 def _parse_policy_args(args):
     return dict(
@@ -203,14 +223,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("table")
     p.add_argument("--epsilon", type=float, required=True,
                    help="entrywise perturbation bound")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_int_in(0, PERTURB_MAX_SAMPLES), default=100)
     p.add_argument("--seed", type=int, default=0)
     _add_table_options(p)
     p.set_defaults(func=_cmd_perturb)
 
     p = sub.add_parser("generate",
                        help="write a synthetic table and emissions pair")
-    p.add_argument("--n", type=int, required=True, help="sector count")
+    p.add_argument("--n", type=_int_in(1, GENERATE_MAX_SECTORS), required=True,
+                   help="sector count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_generate)

@@ -12,6 +12,7 @@ them at construction time and exposes them for auditing.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,6 @@ from .errors import (
     DimensionMismatch,
     DuplicateSector,
     ImbalancedTable,
-    KindMismatch,
     NegativeEntry,
     ZeroTotal,
 )
@@ -39,6 +39,28 @@ def _as_readonly(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype, copy=True)
     arr.setflags(write=False)
     return arr
+
+
+def _check_shape(arr: np.ndarray, shape: tuple, name: str) -> None:
+    if arr.shape != shape:
+        raise DimensionMismatch(f"{name} has shape {arr.shape}, expected {shape}")
+
+
+def _check_entries(arr: np.ndarray, name: str, *, nonnegative: bool = True) -> None:
+    """Raise :class:`NegativeEntry` at the first non-finite (or negative) entry.
+
+    Negative entries are rejected only with ``nonnegative``. The error's
+    index is an int for vectors and a tuple of ints for matrices.
+    """
+    bad = ~np.isfinite(arr)
+    if nonnegative:
+        bad |= arr < 0
+    if bad.any():
+        index = tuple(int(k) for k in np.unravel_index(int(np.argmax(bad)), arr.shape))
+        index = index[0] if arr.ndim == 1 else index
+        rule = "negative or not finite" if nonnegative else "not finite"
+        raise NegativeEntry(f"{name} entry {index} is {rule} ({arr[index]!r})",
+                            index=index)
 
 
 @dataclass(frozen=True)
@@ -63,19 +85,10 @@ class Economy:
         object.__setattr__(self, "sectors", tuple(self.sectors))
         n = len(self.sectors)
         object.__setattr__(self, "transactions", _as_readonly(self.transactions))
+        _check_shape(self.transactions, (n, n), "transaction matrix")
         for name in ("demand", "value_added", "totals"):
             object.__setattr__(self, name, _as_readonly(getattr(self, name)))
-        if self.transactions.shape != (n, n):
-            raise DimensionMismatch(
-                f"transaction matrix has shape {self.transactions.shape}, "
-                f"expected ({n}, {n})"
-            )
-        for name in ("demand", "value_added", "totals"):
-            vec = getattr(self, name)
-            if vec.shape != (n,):
-                raise DimensionMismatch(
-                    f"{name} has shape {vec.shape}, expected ({n},)"
-                )
+            _check_shape(getattr(self, name), (n,), name)
 
     @property
     def n(self) -> int:
@@ -100,19 +113,12 @@ class EmissionAccount:
             raise DimensionMismatch(
                 f"emissions must be a vector, got shape {self.emissions.shape}"
             )
-        bad = ~(np.isfinite(self.emissions) & (self.emissions >= 0))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise NegativeEntry(
-                f"emission entry {i} is negative or not finite "
-                f"({self.emissions[i]!r})",
-                index=i,
-            )
+        _check_entries(self.emissions, "emission")
 
     @property
     def total(self) -> float:
-        """Total emissions over all sectors."""
-        return float(self.emissions.sum())
+        """Total emissions over all sectors, as a compensated (``fsum``) sum."""
+        return math.fsum(self.emissions)
 
 
 @dataclass(frozen=True)
@@ -150,24 +156,6 @@ def _check_sector_labels(sectors) -> tuple[str, ...]:
     return labels
 
 
-def _check_nonnegative(arr: np.ndarray, name: str) -> None:
-    bad = ~(np.isfinite(arr) & (arr >= 0))
-    if bad.any():
-        index = np.unravel_index(int(np.argmax(bad)), arr.shape)
-        index = index[0] if arr.ndim == 1 else tuple(int(k) for k in index)
-        raise NegativeEntry(
-            f"{name} entry {index} is negative or not finite "
-            f"({arr[index]!r})",
-            index=index,
-        )
-
-
-def _residuals(transactions, demand, value_added, totals):
-    row = np.abs(totals - (transactions.sum(axis=1) + demand)) / totals
-    col = np.abs(totals - (value_added + transactions.sum(axis=0))) / totals
-    return row, col
-
-
 def build_economy(sectors, transactions, demand, value_added=None, totals=None,
                   *, money_unit: str = "", tol_rel: float = DEFAULT_BALANCE_TOL,
                   allow_negative_value_added: bool = False,
@@ -198,33 +186,23 @@ def build_economy(sectors, transactions, demand, value_added=None, totals=None,
 
     C = np.array(transactions, dtype=float)
     D = np.array(demand, dtype=float)
-    if C.shape != (n, n):
-        raise DimensionMismatch(
-            f"transaction matrix has shape {C.shape}, expected ({n}, {n})"
-        )
-    if D.shape != (n,):
-        raise DimensionMismatch(f"demand has shape {D.shape}, expected ({n},)")
-    _check_nonnegative(C, "transaction")
-    _check_nonnegative(D, "demand")
+    _check_shape(C, (n, n), "transaction matrix")
+    _check_shape(D, (n,), "demand")
+    _check_entries(C, "transaction")
+    _check_entries(D, "demand")
 
     totals_supplied = totals is not None
     value_added_supplied = value_added is not None
     if totals_supplied:
         T = np.array(totals, dtype=float)
-        if T.shape != (n,):
-            raise DimensionMismatch(f"totals has shape {T.shape}, expected ({n},)")
-        _check_nonnegative(T, "totals")
+        _check_shape(T, (n,), "totals")
+        _check_entries(T, "totals")
     else:
         T = C.sum(axis=1) + D
     if value_added_supplied:
         V = np.array(value_added, dtype=float)
-        if V.shape != (n,):
-            raise DimensionMismatch(
-                f"value added has shape {V.shape}, expected ({n},)"
-            )
-        if not np.isfinite(V).all():
-            i = int(np.argmax(~np.isfinite(V)))
-            raise NegativeEntry(f"value added entry {i} is not finite", index=i)
+        _check_shape(V, (n,), "value added")
+        _check_entries(V, "value added", nonnegative=False)
     else:
         V = T - C.sum(axis=0)
 
@@ -257,55 +235,28 @@ def build_economy(sectors, transactions, demand, value_added=None, totals=None,
             index=i,
         )
 
-    row_res, col_res = _residuals(C, D, V, T)
-    max_res = float(max(row_res.max(), col_res.max()))
-    if max_res > tol_rel:
-        report = BalanceReport(row_res, col_res, max_res, ok=False)
+    econ = Economy(labels, C, D, V, T, money_unit)
+    report = validate_balance(econ, tol_rel)
+    if not report.ok:
         raise ImbalancedTable(
             f"supplied table violates the balance identities "
-            f"(max relative residual {max_res:.3e} > tolerance {tol_rel:.1e})",
+            f"(max relative residual {report.max_residual:.3e} is not within "
+            f"tolerance {tol_rel:.1e})",
             report=report,
         )
-
-    return Economy(labels, C, D, V, T, money_unit)
+    return econ
 
 
 def validate_balance(econ: Economy, tol_rel: float = DEFAULT_BALANCE_TOL) -> BalanceReport:
     """Check both balance identities of an economy; never raises.
 
-    Pure function: the economy is not modified and repeated calls yield
-    identical reports.
+    A residual that is NaN (an overflowed sum) propagates into
+    ``max_residual`` and fails the check. Pure function: the economy is
+    not modified and repeated calls yield identical reports.
     """
-    row_res, col_res = _residuals(
-        econ.transactions, econ.demand, econ.value_added, econ.totals
-    )
-    max_res = float(max(row_res.max(), col_res.max()))
-    return BalanceReport(row_res, col_res, max_res, ok=bool(max_res <= tol_rel))
+    totals = econ.totals
+    row = np.abs(totals - (econ.transactions.sum(axis=1) + econ.demand)) / totals
+    col = np.abs(totals - (econ.value_added + econ.transactions.sum(axis=0))) / totals
+    max_res = float(np.maximum(row.max(), col.max()))
+    return BalanceReport(row, col, max_res, ok=bool(max_res <= tol_rel))
 
-
-def demand_identity_residual(econ: Economy, coefficients) -> float:
-    """Residual of the rewritten output balance ``D = (I - A) T``.
-
-    For a balanced economy and its technical coefficient matrix the row
-    balance identity rearranges exactly into ``D = (I - A) T``; this is the
-    pivot of the conservation argument, so its numerical residual is worth
-    monitoring on real data. Returns the sup-norm residual relative to
-    ``max|D|`` (absolute when demand is identically zero).
-    """
-    from .leontief import CoefficientKind
-
-    if coefficients.kind is not CoefficientKind.TECHNICAL:
-        raise KindMismatch(
-            "demand identity requires the technical coefficient matrix, "
-            f"got kind {coefficients.kind.value!r}"
-        )
-    if coefficients.values.shape != (econ.n, econ.n):
-        raise DimensionMismatch(
-            f"coefficient matrix shape {coefficients.values.shape} does not "
-            f"match the economy ({econ.n} sectors)"
-        )
-    lhs = econ.demand
-    rhs = econ.totals - coefficients.values @ econ.totals
-    residual = float(np.abs(lhs - rhs).max())
-    scale = float(np.abs(lhs).max())
-    return residual / scale if scale > 0 else residual

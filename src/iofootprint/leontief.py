@@ -32,12 +32,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .economy import Economy, EmissionAccount, _as_readonly
+from .economy import (
+    Economy,
+    EmissionAccount,
+    _as_readonly,
+    _check_entries,
+    _check_shape,
+)
 from .errors import (
     DimensionMismatch,
     Divergent,
     KindMismatch,
-    NegativeEntry,
     Truncated,
     ZeroTotal,
 )
@@ -46,7 +51,7 @@ from .numerics import Factorization, spectral_radius_estimate
 NEUMANN_TOL = 1e-10
 NEUMANN_MAX_TERMS = 100_000
 # A spectral radius estimate at or beyond 1 - RHO_MARGIN means the series
-# cannot converge.
+# cannot converge and the requirements inverse is treated as nonexistent.
 RHO_MARGIN = 1e-12
 
 
@@ -74,14 +79,7 @@ class CoefficientMatrix:
             raise DimensionMismatch(
                 f"coefficient matrix must be square, got shape {self.values.shape}"
             )
-        bad = ~(np.isfinite(self.values) & (self.values >= 0))
-        if bad.any():
-            i, j = np.unravel_index(int(np.argmax(bad)), self.values.shape)
-            raise NegativeEntry(
-                f"coefficient ({i}, {j}) is negative or not finite "
-                f"({self.values[i, j]!r})",
-                index=(int(i), int(j)),
-            )
+        _check_entries(self.values, "coefficient")
 
     @property
     def n(self) -> int:
@@ -101,11 +99,7 @@ class IntensityVector:
             raise DimensionMismatch(
                 f"intensity must be a vector, got shape {self.values.shape}"
             )
-        if not np.isfinite(self.values).all():
-            i = int(np.argmax(~np.isfinite(self.values)))
-            raise NegativeEntry(
-                f"intensity entry {i} is not finite ({self.values[i]!r})", index=i
-            )
+        _check_entries(self.values, "intensity", nonnegative=False)
 
     @property
     def n(self) -> int:
@@ -136,6 +130,21 @@ def _require_kind(obj, kind, what: str):
         raise KindMismatch(
             f"{what} requires kind {kind.value!r}, got {obj.kind.value!r}"
         )
+
+
+def _require_operands(direct: IntensityVector, matrix: CoefficientMatrix,
+                      kind: CoefficientKind, what: str) -> None:
+    _require_kind(direct, IntensityKind.DIRECT, what)
+    _require_kind(matrix, kind, what)
+    _check_shape(matrix.values, (direct.n, direct.n), "coefficient matrix")
+
+
+def _require_weights(intensity: IntensityVector, kind: IntensityKind,
+                     weights, name: str, what: str) -> np.ndarray:
+    _require_kind(intensity, kind, what)
+    weights = np.asarray(weights, dtype=float)
+    _check_shape(weights, intensity.values.shape, name)
+    return weights
 
 
 def _require_positive_totals(econ: Economy):
@@ -175,11 +184,7 @@ def allocation_coefficients(econ: Economy) -> CoefficientMatrix:
 def direct_intensity(econ: Economy, account: EmissionAccount) -> IntensityVector:
     """Emissions per unit of money of each sector's own operations, ``e_i / t_i``."""
     _require_positive_totals(econ)
-    if account.emissions.shape != (econ.n,):
-        raise DimensionMismatch(
-            f"emission account has {account.emissions.shape[0]} entries, "
-            f"economy has {econ.n} sectors"
-        )
+    _check_shape(account.emissions, (econ.n,), "emission account")
     return IntensityVector(IntensityKind.DIRECT, account.emissions / econ.totals)
 
 
@@ -192,9 +197,10 @@ def leontief_inverse(coefficients: CoefficientMatrix) -> np.ndarray:
     """The requirements inverse ``(I - A)^-1``, formed explicitly.
 
     Computed as n linear solves against the identity on a single
-    row-pivoted factorization. This explicit matrix exists for diagnostics
-    and tests; the intensity operations below solve against the
-    factorization directly instead of multiplying by this inverse.
+    row-pivoted factorization. :func:`~iofootprint.sensitivity.perturb_inverse`
+    forms it for the baseline and for every non-divergent sample to measure
+    how far the inverse moves; the intensity operations below solve against
+    the factorization directly instead of multiplying by this inverse.
 
     Raises :class:`SingularSystem` (with the estimated reciprocal condition
     number) when ``I - A`` is singular to working precision.
@@ -210,12 +216,7 @@ def total_intensity(direct: IntensityVector,
     ``X`` is obtained from one transposed solve of ``X (I - A) = F``; the
     inverse is never formed.
     """
-    _require_kind(direct, IntensityKind.DIRECT, "total intensity")
-    _require_kind(technical, CoefficientKind.TECHNICAL, "total intensity")
-    if direct.n != technical.n:
-        raise DimensionMismatch(
-            f"intensity has {direct.n} entries, matrix is {technical.n}x{technical.n}"
-        )
+    _require_operands(direct, technical, CoefficientKind.TECHNICAL, "total intensity")
     factored = _factor_requirements(technical)
     values = factored.solve(direct.values, transposed=True)
     return IntensityVector(IntensityKind.TOTAL_CONSUMER, values)
@@ -242,12 +243,8 @@ def total_intensity_neumann(direct: IntensityVector,
         when ``max_terms`` is hit first; the exception carries the partial
         sum, its term count, and the relative size of the next term.
     """
-    _require_kind(direct, IntensityKind.DIRECT, "series total intensity")
-    _require_kind(technical, CoefficientKind.TECHNICAL, "series total intensity")
-    if direct.n != technical.n:
-        raise DimensionMismatch(
-            f"intensity has {direct.n} entries, matrix is {technical.n}x{technical.n}"
-        )
+    _require_operands(direct, technical, CoefficientKind.TECHNICAL,
+                      "series total intensity")
     rho, _, _ = spectral_radius_estimate(technical.values)
     if rho >= 1.0 - RHO_MARGIN:
         raise Divergent(
@@ -282,12 +279,8 @@ def consumer_direct_footprint(direct: IntensityVector, demand: np.ndarray) -> fl
     Deliberately not conserved: it misses every intermediate exchange, so
     it undercounts the measured emission total whenever sectors trade.
     """
-    _require_kind(direct, IntensityKind.DIRECT, "direct consumer footprint")
-    demand = np.asarray(demand, dtype=float)
-    if demand.shape != direct.values.shape:
-        raise DimensionMismatch(
-            f"demand has shape {demand.shape}, intensity has {direct.values.shape}"
-        )
+    demand = _require_weights(direct, IntensityKind.DIRECT, demand, "demand",
+                              "direct consumer footprint")
     return float(direct.values @ demand)
 
 
@@ -296,7 +289,7 @@ def _attribution(weights: np.ndarray, intensity: np.ndarray,
     per_sector = intensity * weights
     # math.fsum: compensated, order-independent, bit-reproducible totals.
     total_attributed = math.fsum(per_sector)
-    total_emissions = math.fsum(account.emissions)
+    total_emissions = account.total
     diff = abs(total_attributed - total_emissions)
     residual = diff / total_emissions if total_emissions > 0 else diff
     return AttributionReport(per_sector, total_attributed, total_emissions, residual)
@@ -310,12 +303,8 @@ def attribute_to_demand(total: IntensityVector, demand: np.ndarray,
     equals the measured emission total up to roundoff, because
     ``<X, D> = <F (I-A)^-1, (I-A) T> = F T = |E|``.
     """
-    _require_kind(total, IntensityKind.TOTAL_CONSUMER, "demand attribution")
-    demand = np.asarray(demand, dtype=float)
-    if demand.shape != total.values.shape:
-        raise DimensionMismatch(
-            f"demand has shape {demand.shape}, intensity has {total.values.shape}"
-        )
+    demand = _require_weights(total, IntensityKind.TOTAL_CONSUMER, demand, "demand",
+                              "demand attribution")
     return _attribution(demand, total.values, account)
 
 
@@ -328,12 +317,8 @@ def systemic_intensity(direct: IntensityVector,
     ``(I - B) Y^T = F^T`` (transposing the defining equation), so the
     inverse is never formed.
     """
-    _require_kind(direct, IntensityKind.DIRECT, "systemic intensity")
-    _require_kind(allocation, CoefficientKind.ALLOCATION, "systemic intensity")
-    if direct.n != allocation.n:
-        raise DimensionMismatch(
-            f"intensity has {direct.n} entries, matrix is {allocation.n}x{allocation.n}"
-        )
+    _require_operands(direct, allocation, CoefficientKind.ALLOCATION,
+                      "systemic intensity")
     factored = _factor_requirements(allocation)
     values = factored.solve(direct.values)
     return IntensityVector(IntensityKind.TOTAL_SYSTEMIC, values)
@@ -348,13 +333,8 @@ def systemic_intensity_from_technical(direct: IntensityVector,
     all sector totals are equal (then ``B = A``). It exists so tests and
     reports can demonstrate the discrepancy, not for production use.
     """
-    _require_kind(direct, IntensityKind.DIRECT, "systemic intensity comparison")
-    _require_kind(technical, CoefficientKind.TECHNICAL,
-                  "systemic intensity comparison")
-    if direct.n != technical.n:
-        raise DimensionMismatch(
-            f"intensity has {direct.n} entries, matrix is {technical.n}x{technical.n}"
-        )
+    _require_operands(direct, technical, CoefficientKind.TECHNICAL,
+                      "systemic intensity comparison")
     factored = _factor_requirements(technical)
     values = factored.solve(direct.values)
     return IntensityVector(IntensityKind.TOTAL_SYSTEMIC, values)
@@ -368,11 +348,24 @@ def attribute_to_value_added(systemic: IntensityVector, value_added: np.ndarray,
     economies, by the same argument as the demand-side attribution with
     ``V = (I - B^T) T`` in place of ``D = (I - A) T``.
     """
-    _require_kind(systemic, IntensityKind.TOTAL_SYSTEMIC, "value-added attribution")
-    value_added = np.asarray(value_added, dtype=float)
-    if value_added.shape != systemic.values.shape:
-        raise DimensionMismatch(
-            f"value added has shape {value_added.shape}, "
-            f"intensity has {systemic.values.shape}"
-        )
+    value_added = _require_weights(systemic, IntensityKind.TOTAL_SYSTEMIC, value_added,
+                                   "value added", "value-added attribution")
     return _attribution(value_added, systemic.values, account)
+
+
+def demand_identity_residual(econ: Economy, coefficients: CoefficientMatrix) -> float:
+    """Residual of the rewritten output balance ``D = (I - A) T``.
+
+    For a balanced economy and its technical coefficient matrix the row
+    balance identity rearranges exactly into ``D = (I - A) T``; this is the
+    pivot of the conservation argument, so its numerical residual is worth
+    monitoring on real data. Returns the sup-norm residual relative to
+    ``max|D|`` (absolute when demand is identically zero).
+    """
+    _require_kind(coefficients, CoefficientKind.TECHNICAL, "demand identity")
+    _check_shape(coefficients.values, (econ.n, econ.n), "coefficient matrix")
+    lhs = econ.demand
+    rhs = econ.totals - coefficients.values @ econ.totals
+    residual = float(np.abs(lhs - rhs).max())
+    scale = float(np.abs(lhs).max())
+    return residual / scale if scale > 0 else residual

@@ -13,13 +13,18 @@ import numbers
 import numpy as np
 
 
+def format_float(value) -> str:
+    """17 significant digits: enough for every double to read back exactly."""
+    return format(float(value), ".17g")
+
+
 def format_value(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, numbers.Integral):
         return str(int(value))
     if isinstance(value, numbers.Real):
-        return format(float(value), ".17g")
+        return format_float(value)
     return str(value)
 
 

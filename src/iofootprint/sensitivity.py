@@ -16,11 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Divergent, DomainError, SingularSystem
-from .leontief import CoefficientKind, CoefficientMatrix, leontief_inverse
+from .leontief import RHO_MARGIN, CoefficientKind, CoefficientMatrix, leontief_inverse
 from .numerics import spectral_radius_estimate
-
-# Matches the divergence margin used by the series evaluation.
-RHO_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -89,10 +86,10 @@ def perturb_inverse(coefficients: CoefficientMatrix, epsilon: float,
     """Sample entrywise perturbations and measure the inverse's movement.
 
     Each draw adds independent uniform noise in ``[-epsilon, epsilon]`` to
-    every coefficient, clamped to stay nonnegative. Per-sample RNG
-    substreams are spawned from the seed and merged by sample index, so the
-    report is identical whether samples are evaluated sequentially or
-    concurrently. For one-sector matrices the two interval endpoints are
+    every coefficient, clamped to stay nonnegative. Each sample draws from
+    its own RNG substream, spawned from the seed by sample index, so every
+    draw depends only on ``seed`` and its index, not on the draws before
+    it. For one-sector matrices the two interval endpoints are
     probed deterministically as well, so the worst case is hit exactly
     rather than approached in distribution.
 

@@ -49,6 +49,7 @@ from .errors import (
     ParseError,
     UnknownSector,
 )
+from .reporting import format_float
 
 # Row/column labels with structural meaning; they cannot name sectors.
 RESERVED_LABELS = frozenset({"D", "T", "V"})
@@ -224,10 +225,6 @@ def parse_table(path, *, tol_rel: float = DEFAULT_BALANCE_TOL,
     )
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def serialize_table(econ: Economy) -> str:
     """Render an economy in the table layout, exactly re-parseable."""
     out = io.StringIO()
@@ -236,12 +233,12 @@ def serialize_table(econ: Economy) -> str:
     for i, label in enumerate(econ.sectors):
         writer.writerow([
             label,
-            *(_fmt(v) for v in econ.transactions[i]),
-            _fmt(econ.demand[i]),
-            _fmt(econ.totals[i]),
+            *(format_float(v) for v in econ.transactions[i]),
+            format_float(econ.demand[i]),
+            format_float(econ.totals[i]),
         ])
-    writer.writerow(["V", *(_fmt(v) for v in econ.value_added), "", ""])
-    writer.writerow(["T", *(_fmt(v) for v in econ.totals), "", ""])
+    writer.writerow(["V", *(format_float(v) for v in econ.value_added), "", ""])
+    writer.writerow(["T", *(format_float(v) for v in econ.totals), "", ""])
     return out.getvalue()
 
 
@@ -308,7 +305,7 @@ def serialize_emissions(account: EmissionAccount, econ: Economy) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["sector", account.emission_unit])
     for label, value in zip(econ.sectors, account.emissions):
-        writer.writerow([label, _fmt(value)])
+        writer.writerow([label, format_float(value)])
     return out.getvalue()
 
 

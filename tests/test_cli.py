@@ -190,3 +190,29 @@ class TestGenerate:
         assert run_command(["attribute", table, emissions]) == 0
         lines = report_lines(capsys)
         assert float(lines["attribution.conservation_residual"]) <= 1e-10
+
+
+class TestSizeBounds:
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--n", "5001", "--out", "unused"],
+        ["generate", "--n", "0", "--out", "unused"],
+        ["perturb", "unused.csv", "--epsilon", "0.01", "--samples", "100001"],
+        ["perturb", "unused.csv", "--epsilon", "0.01", "--samples", "-1"],
+    ])
+    def test_out_of_range_is_usage_error(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_command(argv) == 2
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestOverflowingTable:
+    @pytest.mark.parametrize("text", [
+        "MU,a,b,D\na,1e308,1e308,1\nb,1,1,1\n",
+        "MU,a,b,D\na,1e308,0,1\nb,1e308,0,1\n",
+    ], ids=["row_sum", "column_sum"])
+    def test_fails_validation(self, text, tmp_path, capsys):
+        path = tmp_path / "overflow.csv"
+        path.write_text(text, encoding="utf-8")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_command(["validate", str(path), "--allow-negative-v"]) == 1
+        assert "error.type = ImbalancedTable" in capsys.readouterr().err

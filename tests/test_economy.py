@@ -209,3 +209,20 @@ class TestEmissionAccount:
         acct = EmissionAccount([1.0])
         with pytest.raises(ValueError):
             acct.emissions[0] = 2.0
+
+
+class TestNonFiniteBalance:
+    @pytest.mark.parametrize("transactions", [
+        [[1e308, 1e308], [1.0, 1.0]],  # row sum overflows: derived total is inf
+        [[1e308, 0.0], [1e308, 0.0]],  # column sum overflows: derived V is -inf
+    ])
+    def test_overflowing_table_is_imbalanced(self, transactions):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ImbalancedTable) as exc:
+                build_economy(["a", "b"], transactions, [1.0, 1.0],
+                              allow_negative_value_added=True)
+        assert exc.value.report.ok is False
+
+
+def test_emission_total_is_compensated():
+    assert EmissionAccount([1e16, 1.0, 1.0]).total == 1.0000000000000002e16
