@@ -156,6 +156,9 @@ def _check_sector_labels(sectors) -> tuple[str, ...]:
     return labels
 
 
+# Derived sums that overflow become inf or NaN, which the balance gate at the
+# end rejects as a typed error; numpy's warnings about them would be noise.
+@np.errstate(over="ignore", invalid="ignore")
 def build_economy(sectors, transactions, demand, value_added=None, totals=None,
                   *, money_unit: str = "", tol_rel: float = DEFAULT_BALANCE_TOL,
                   allow_negative_value_added: bool = False,
@@ -255,8 +258,9 @@ def validate_balance(econ: Economy, tol_rel: float = DEFAULT_BALANCE_TOL) -> Bal
     not modified and repeated calls yield identical reports.
     """
     totals = econ.totals
-    row = np.abs(totals - (econ.transactions.sum(axis=1) + econ.demand)) / totals
-    col = np.abs(totals - (econ.value_added + econ.transactions.sum(axis=0))) / totals
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = np.abs(totals - (econ.transactions.sum(axis=1) + econ.demand)) / totals
+        col = np.abs(totals - (econ.value_added + econ.transactions.sum(axis=0))) / totals
     max_res = float(np.maximum(row.max(), col.max()))
     return BalanceReport(row, col, max_res, ok=bool(max_res <= tol_rel))
 

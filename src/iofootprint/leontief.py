@@ -46,7 +46,7 @@ from .errors import (
     Truncated,
     ZeroTotal,
 )
-from .numerics import Factorization, spectral_radius_estimate
+from .numerics import Factorization, perron_bound, spectral_radius_estimate
 
 NEUMANN_TOL = 1e-10
 NEUMANN_MAX_TERMS = 100_000
@@ -123,6 +123,20 @@ class AttributionReport:
 
     def __post_init__(self):
         object.__setattr__(self, "per_sector", _as_readonly(self.per_sector))
+
+
+def _divergent_radius(values: np.ndarray) -> float | None:
+    """The spectral radius estimate of ``values`` if it is not below one, else None.
+
+    "Below one" means below ``1 - RHO_MARGIN``. When the Perron-Frobenius
+    bound is already below that, power iteration is skipped: the estimate
+    is capped at the bound, so it could not reach the margin. A NaN
+    estimate (overflowing iterates) counts as divergent.
+    """
+    if perron_bound(values) < 1.0 - RHO_MARGIN:
+        return None
+    rho, _, _ = spectral_radius_estimate(values)
+    return None if rho < 1.0 - RHO_MARGIN else rho
 
 
 def _require_kind(obj, kind, what: str):
@@ -238,15 +252,16 @@ def total_intensity_neumann(direct: IntensityVector,
     Raises
     ------
     Divergent
-        when the spectral radius estimate of the matrix reaches one.
+        when the spectral radius estimate of the matrix reaches one, or is
+        NaN because power iteration overflowed.
     Truncated
         when ``max_terms`` is hit first; the exception carries the partial
         sum, its term count, and the relative size of the next term.
     """
     _require_operands(direct, technical, CoefficientKind.TECHNICAL,
                       "series total intensity")
-    rho, _, _ = spectral_radius_estimate(technical.values)
-    if rho >= 1.0 - RHO_MARGIN:
+    rho = _divergent_radius(technical.values)
+    if rho is not None:
         raise Divergent(
             f"series diverges: spectral radius estimate {rho:.12g} is not below 1"
         )

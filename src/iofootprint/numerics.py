@@ -3,7 +3,11 @@
 Two pieces live here because several modules need them without importing
 each other: a row-pivoted LU factorization with a reciprocal-condition
 gate, and a power-iteration spectral radius estimate for nonnegative
-matrices.
+matrices, with the Perron-Frobenius bound that caps it.
+
+scipy is imported on the first factorization, not with this module, so
+commands that never factor a matrix (reading and validating a table,
+generating one, the series path) do not pay for loading it.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 
 from .errors import ConditioningWarning, SingularSystem
 
@@ -36,6 +39,8 @@ class Factorization:
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+        from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor
+
         anorm = float(np.abs(matrix).sum(axis=0).max()) if matrix.size else 0.0
         with warnings.catch_warnings():
             # An exactly singular U produces a LinAlgWarning from getrf; the
@@ -72,7 +77,18 @@ class Factorization:
 
     def solve(self, rhs: np.ndarray, transposed: bool = False) -> np.ndarray:
         """Solve ``M x = rhs`` (or ``M^T x = rhs`` when ``transposed``)."""
+        from scipy.linalg import lu_solve
+
         return lu_solve(self._lu_piv, rhs, trans=1 if transposed else 0)
+
+
+def perron_bound(values: np.ndarray) -> float:
+    """Upper bound on the Perron root of a nonnegative square matrix.
+
+    ``min(max column sum, max row sum)``; ``inf`` when a sum overflows.
+    """
+    with np.errstate(over="ignore"):
+        return float(min(values.sum(axis=0).max(), values.sum(axis=1).max()))
 
 
 def spectral_radius_estimate(values: np.ndarray, tol: float = 1e-12,
@@ -86,9 +102,9 @@ def spectral_radius_estimate(values: np.ndarray, tol: float = 1e-12,
     the 1-norm, which keeps every intermediate estimate at or below the
     maximum column sum plus one.
 
-    Returns ``(rho, iterations, converged)``. The estimate is capped by the
-    row-sum and column-sum bounds on the Perron root, so ``rho`` never
-    exceeds either of them.
+    Returns ``(rho, iterations, converged)``. The estimate is capped by
+    :func:`perron_bound`, so ``rho`` never exceeds the row-sum or the
+    column-sum bound. On a matrix whose iterates overflow, ``rho`` is NaN.
 
     Parameters
     ----------
@@ -98,8 +114,7 @@ def spectral_radius_estimate(values: np.ndarray, tol: float = 1e-12,
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
-    # A priori Perron-Frobenius bound: rho <= min(max row sum, max col sum).
-    bound = float(min(values.sum(axis=0).max(), values.sum(axis=1).max()))
+    bound = perron_bound(values)
     if bound == 0.0:
         return 0.0, 0, True
     x = np.full(n, 1.0 / n)
@@ -107,13 +122,15 @@ def spectral_radius_estimate(values: np.ndarray, tol: float = 1e-12,
     lam = 1.0
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        y = values @ x + x
-        lam = float(y.sum())  # 1-norm: y > 0 whenever x > 0
-        x = y / lam
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * lam:
-            converged = True
-            break
-        lam_prev = lam
+    # Overflowing iterates end in a NaN estimate, which callers' gates reject.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, max_iter + 1):
+            y = values @ x + x
+            lam = float(y.sum())  # 1-norm: y > 0 whenever x > 0
+            x = y / lam
+            if lam_prev is not None and abs(lam - lam_prev) <= tol * lam:
+                converged = True
+                break
+            lam_prev = lam
     rho = min(max(lam - 1.0, 0.0), bound)
     return rho, iterations, converged

@@ -13,9 +13,13 @@ import numbers
 import numpy as np
 
 
+# A ``%`` spec, so that a template of many can format a whole row at once.
+FLOAT_SPEC = "%.17g"
+
+
 def format_float(value) -> str:
     """17 significant digits: enough for every double to read back exactly."""
-    return format(float(value), ".17g")
+    return FLOAT_SPEC % float(value)
 
 
 def format_value(value) -> str:

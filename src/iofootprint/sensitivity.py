@@ -16,7 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Divergent, DomainError, SingularSystem
-from .leontief import RHO_MARGIN, CoefficientKind, CoefficientMatrix, leontief_inverse
+from .leontief import (
+    CoefficientKind,
+    CoefficientMatrix,
+    _divergent_radius,
+    leontief_inverse,
+)
 from .numerics import spectral_radius_estimate
 
 
@@ -71,8 +76,7 @@ def _norm_inf(matrix: np.ndarray) -> float:
 def _deviation(base_inverse: np.ndarray, perturbed: np.ndarray,
                kind: CoefficientKind) -> float | None:
     """Inverse deviation for one perturbed matrix, or None if it diverged."""
-    rho, _, _ = spectral_radius_estimate(perturbed)
-    if rho >= 1.0 - RHO_MARGIN:
+    if _divergent_radius(perturbed) is not None:
         return None
     try:
         inv = leontief_inverse(CoefficientMatrix(kind, perturbed))
@@ -102,8 +106,8 @@ def perturb_inverse(coefficients: CoefficientMatrix, epsilon: float,
     if samples < 0:
         raise DomainError(f"samples must be nonnegative, got {samples!r}")
     base = coefficients.values
-    rho, _, _ = spectral_radius_estimate(base)
-    if rho >= 1.0 - RHO_MARGIN:
+    rho = _divergent_radius(base)
+    if rho is not None:
         raise Divergent(
             f"baseline spectral radius estimate {rho:.12g} is not below 1; "
             "the requirements inverse does not exist"

@@ -31,6 +31,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,7 @@ from .errors import (
     ParseError,
     UnknownSector,
 )
-from .reporting import format_float
+from .reporting import FLOAT_SPEC
 
 # Row/column labels with structural meaning; they cannot name sectors.
 RESERVED_LABELS = frozenset({"D", "T", "V"})
@@ -65,7 +66,7 @@ def _read_rows(path) -> list[tuple[int, list[str]]]:
     text = Path(path).read_text(encoding="utf-8")
     rows = []
     for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
-        cells = [cell.strip() for cell in row]
+        cells = list(map(str.strip, row))
         while cells and not cells[-1]:
             cells.pop()  # spreadsheet exports pad short rows with empty cells
         if cells:
@@ -74,7 +75,10 @@ def _read_rows(path) -> list[tuple[int, list[str]]]:
 
 
 def _parse_number(cell: str, lineno: int, column: int) -> float:
+    """One cell as a finite float. Digit separators (``1_000``) are rejected."""
     try:
+        if "_" in cell:
+            raise ValueError
         value = float(cell)
     except ValueError:
         raise ParseError(
@@ -89,14 +93,22 @@ def _parse_number(cell: str, lineno: int, column: int) -> float:
     return value
 
 
-def _parse_vector_row(cells: list[str], n: int, lineno: int, what: str) -> np.ndarray:
-    if len(cells) - 1 != n:
-        raise ParseError(
-            f"line {lineno}: {what} row has {len(cells) - 1} values, expected {n}",
-            line=lineno,
-        )
+def _parse_numbers(cells: list[str], lineno: int, column: int) -> np.ndarray:
+    """A row of cells as finite floats, the first cell at 1-based ``column``.
+
+    The whole row is converted in one call; only a row that fails it is
+    retried cell by cell, so that the error names the first bad cell.
+    """
+    if "_" not in "".join(cells):
+        try:
+            values = np.array(cells, dtype=float)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(values).all():
+                return values
     return np.array(
-        [_parse_number(cells[1 + j], lineno, 2 + j) for j in range(n)]
+        [_parse_number(cell, lineno, column + j) for j, cell in enumerate(cells)]
     )
 
 
@@ -180,30 +192,32 @@ def parse_table(path, *, tol_rel: float = DEFAULT_BALANCE_TOL,
                 f"line {lineno}: row has {len(cells)} cells, expected {width}",
                 line=lineno,
             )
-        for j in range(n):
-            transactions[i, j] = _parse_number(cells[1 + j], lineno, 2 + j)
-        demand[i] = _parse_number(cells[1 + n], lineno, 2 + n)
+        values = _parse_numbers(cells[1:], lineno, 2)
+        transactions[i] = values[:n]
+        demand[i] = values[n]
         if has_total_column:
-            totals_column[i] = _parse_number(cells[2 + n], lineno, 3 + n)
+            totals_column[i] = values[n + 1]
 
-    value_added = None
-    totals_row = None
+    vectors: dict[str, np.ndarray] = {}  # the optional V and T rows
     for lineno, cells in rows[1 + n:]:
         label = cells[0]
-        if label == "V":
-            if value_added is not None:
-                raise ParseError(f"line {lineno}: duplicate V row", line=lineno)
-            value_added = _parse_vector_row(cells, n, lineno, "V")
-        elif label == "T":
-            if totals_row is not None:
-                raise ParseError(f"line {lineno}: duplicate T row", line=lineno)
-            totals_row = _parse_vector_row(cells, n, lineno, "T")
-        else:
+        if label not in ("V", "T"):
             raise ParseError(
                 f"line {lineno}: unexpected row label {label!r} "
                 "(only V and T rows may follow the sector rows)",
                 line=lineno, column=1,
             )
+        if label in vectors:
+            raise ParseError(f"line {lineno}: duplicate {label} row", line=lineno)
+        if len(cells) - 1 != n:
+            raise ParseError(
+                f"line {lineno}: {label} row has {len(cells) - 1} values, "
+                f"expected {n}",
+                line=lineno,
+            )
+        vectors[label] = _parse_numbers(cells[1:], lineno, 2)
+    value_added = vectors.get("V")
+    totals_row = vectors.get("T")
 
     totals = totals_column if totals_column is not None else totals_row
     if totals_column is not None and totals_row is not None:
@@ -225,25 +239,42 @@ def parse_table(path, *, tol_rel: float = DEFAULT_BALANCE_TOL,
     )
 
 
-def serialize_table(econ: Economy) -> str:
-    """Render an economy in the table layout, exactly re-parseable."""
+def _csv_line(cells, end: str = "\n") -> str:
+    """``cells`` in the csv module's quoting, followed by ``end``.
+
+    ``_csv_line([label, ""], end="")`` is a row's label cell and its
+    delimiter, ready for the numeric cells, which never need quoting.
+    """
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([econ.money_unit, *econ.sectors, "D", "T"])
-    for i, label in enumerate(econ.sectors):
-        writer.writerow([
-            label,
-            *(format_float(v) for v in econ.transactions[i]),
-            format_float(econ.demand[i]),
-            format_float(econ.totals[i]),
-        ])
-    writer.writerow(["V", *(format_float(v) for v in econ.value_added), "", ""])
-    writer.writerow(["T", *(format_float(v) for v in econ.totals), "", ""])
+    csv.writer(out, lineterminator=end).writerow(cells)
     return out.getvalue()
 
 
+def _float_cells(count: int) -> str:
+    """A ``%`` template formatting ``count`` floats as comma-separated cells."""
+    return ",".join([FLOAT_SPEC] * count)
+
+
+def _table_lines(econ: Economy) -> Iterator[str]:
+    yield _csv_line([econ.money_unit, *econ.sectors, "D", "T"])
+    sector_row = _float_cells(econ.n + 2)
+    for i, label in enumerate(econ.sectors):
+        row = econ.transactions[i].tolist()
+        row += (econ.demand[i], econ.totals[i])
+        yield f"{_csv_line([label, ''], end='')}{sector_row % tuple(row)}\n"
+    vector_row = _float_cells(econ.n)
+    for label, values in (("V", econ.value_added), ("T", econ.totals)):
+        yield f"{label},{vector_row % tuple(values.tolist())},,\n"
+
+
+def serialize_table(econ: Economy) -> str:
+    """Render an economy in the table layout, exactly re-parseable."""
+    return "".join(_table_lines(econ))
+
+
 def write_table(econ: Economy, path) -> None:
-    Path(path).write_text(serialize_table(econ), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as out:
+        out.writelines(_table_lines(econ))
 
 
 def parse_emissions(path, econ: Economy) -> EmissionAccount:
@@ -294,20 +325,24 @@ def parse_emissions(path, econ: Economy) -> EmissionAccount:
     return EmissionAccount(emissions, emission_unit=unit)
 
 
-def serialize_emissions(account: EmissionAccount, econ: Economy) -> str:
-    """Render an emission account in table sector order, exactly re-parseable."""
+def _emission_lines(account: EmissionAccount, econ: Economy) -> list[str]:
     if account.emissions.shape != (econ.n,):
         raise MissingSector(
             f"account has {account.emissions.shape[0]} entries, "
             f"economy has {econ.n} sectors"
         )
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["sector", account.emission_unit])
-    for label, value in zip(econ.sectors, account.emissions):
-        writer.writerow([label, format_float(value)])
-    return out.getvalue()
+    return [_csv_line(["sector", account.emission_unit])] + [
+        f"{_csv_line([label, ''], end='')}{FLOAT_SPEC % value}\n"
+        for label, value in zip(econ.sectors, account.emissions.tolist())
+    ]
+
+
+def serialize_emissions(account: EmissionAccount, econ: Economy) -> str:
+    """Render an emission account in table sector order, exactly re-parseable."""
+    return "".join(_emission_lines(account, econ))
 
 
 def write_emissions(account: EmissionAccount, econ: Economy, path) -> None:
-    Path(path).write_text(serialize_emissions(account, econ), encoding="utf-8")
+    lines = _emission_lines(account, econ)  # fails before the file is opened
+    with open(path, "w", encoding="utf-8") as out:
+        out.writelines(lines)

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -216,3 +222,40 @@ class TestOverflowingTable:
         with np.errstate(over="ignore", invalid="ignore"):
             assert run_command(["validate", str(path), "--allow-negative-v"]) == 1
         assert "error.type = ImbalancedTable" in capsys.readouterr().err
+
+
+class TestNoRawWarnings:
+    def test_row_overflow_is_a_typed_error(self, tmp_path, capsys):
+        path = tmp_path / "overflow.csv"
+        path.write_text("MU,a,b,D\na,1e308,1e308,1\nb,1,1,1\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_command(["validate", str(path), "--allow-negative-v"]) == 1
+        assert "error.type = ImbalancedTable" in capsys.readouterr().err
+
+
+class TestLazyScipy:
+    """Commands that factor nothing must not pay for importing scipy."""
+
+    @staticmethod
+    def run_python(code, cwd):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, env["PYTHONPATH"]] if env.get("PYTHONPATH") else [src])
+        return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        done = self.run_python(
+            "import iofootprint.cli, sys; assert 'scipy' not in sys.modules", tmp_path)
+        assert done.returncode == 0, done.stderr
+
+    def test_generate_loads_no_scipy(self, tmp_path):
+        done = self.run_python(
+            "import sys\n"
+            "from iofootprint.cli import run_command\n"
+            "assert run_command(['generate', '--n', '5', '--out', 'out']) == 0\n"
+            "assert 'scipy' not in sys.modules\n", tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "out" / "table.csv").is_file()

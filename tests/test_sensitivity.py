@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +10,14 @@ from iofootprint import (
     Divergent,
     DomainError,
     GeneratorConfig,
+    IntensityKind,
+    IntensityVector,
     amplification_curve,
     generate_economy,
     perturb_inverse,
     spectral_radius,
     technical_coefficients,
+    total_intensity_neumann,
 )
 
 
@@ -131,6 +135,26 @@ class TestPerturbInverse:
             A = technical_coefficients(econ)
             report = perturb_inverse(A, epsilon=0.01 / n, samples=50, seed=seed)
             assert report.diverged_count == 0
+
+
+class TestOverflowingMatrix:
+    """Power iteration overflows to a NaN estimate; every gate calls it divergent."""
+
+    MATRIX = [[1e308, 1e308], [1e308, 1e308]]
+
+    def test_estimate_is_nan(self):
+        assert math.isnan(spectral_radius(coeff(self.MATRIX)).rho)
+
+    @pytest.mark.parametrize("call", [
+        lambda A: total_intensity_neumann(
+            IntensityVector(IntensityKind.DIRECT, [1.0, 1.0]), A),
+        lambda A: perturb_inverse(A, epsilon=1e-3, samples=3, seed=0),
+    ], ids=["neumann", "perturb"])
+    def test_divergent_without_warnings(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Divergent, match="nan"):
+                call(coeff(self.MATRIX))
 
 
 class TestAmplificationCurve:

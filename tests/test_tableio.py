@@ -1,8 +1,16 @@
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iofootprint import (
     DuplicateSector,
+    Economy,
+    EmissionAccount,
     GeneratorConfig,
     ImbalancedTable,
     MissingSector,
@@ -16,6 +24,8 @@ from iofootprint import (
     serialize_emissions,
     serialize_table,
 )
+from iofootprint.reporting import format_float
+from iofootprint.tableio import write_emissions, write_table
 
 WORKED_TABLE = """\
 MU,s1,s2,D,T
@@ -227,3 +237,182 @@ class TestRoundTrip:
         assert np.array_equal(acct1.emissions, acct2.emissions)
         assert np.array_equal(acct1.emissions, acct.emissions)
         assert acct1.emission_unit == acct.emission_unit
+
+
+class TestDigitSeparators:
+    """``1_000`` is not a number in a table or emission file, though float() takes it."""
+
+    def test_table_cell(self, tmp_path):
+        text = WORKED_TABLE.replace("s1,100,", "s1,1_00,")
+        with pytest.raises(ParseError, match="'1_00' is not a number") as exc:
+            parse_table(write(tmp_path, "t.csv", text))
+        assert (exc.value.line, exc.value.column) == (2, 2)
+
+    def test_vector_row_cell(self, tmp_path):
+        text = WORKED_TABLE.replace("V,70,30", "V,70,3_0")
+        with pytest.raises(ParseError, match="'3_0' is not a number") as exc:
+            parse_table(write(tmp_path, "t.csv", text))
+        assert (exc.value.line, exc.value.column) == (4, 3)
+
+    def test_emission_cell(self, tmp_path):
+        econ = parse_table(write(tmp_path, "t.csv", WORKED_TABLE))
+        text = EMISSIONS.replace("s1,20", "s1,2_0")
+        with pytest.raises(ParseError, match="'2_0' is not a number") as exc:
+            parse_emissions(write(tmp_path, "e.csv", text), econ)
+        assert (exc.value.line, exc.value.column) == (2, 2)
+
+
+# Spellings of one nonnegative double that float() reads back exactly.
+SPELLINGS = [repr, "%.17g".__mod__, "%.20e".__mod__, "%.17E".__mod__,
+             lambda v: "+" + repr(v)]
+# Cells that are not finite numbers, or that only float() would accept.
+NOT_NUMBERS = ["oops", "1_000", "2_5.5", "1e1_0", "1__0", "nan", "NaN", "inf",
+               "-Infinity", "1e999", "0x1p3", "1.5.2", "e5", "1d3"]
+
+
+@st.composite
+def cell_text(draw, low):
+    """(logical text, as written in the file) of one numeric cell."""
+    if draw(st.integers(0, 15)) == 0:
+        text = draw(st.sampled_from(NOT_NUMBERS))
+    else:
+        value = draw(st.floats(min_value=low, max_value=1e300))
+        text = draw(st.sampled_from(SPELLINGS))(value)
+    padded = " " * draw(st.integers(0, 2)) + text + " " * draw(st.integers(0, 2))
+    return text, f'"{padded}"' if draw(st.booleans()) else padded
+
+
+@st.composite
+def tables(draw):
+    """A table of cells as text, with the 1-based line of each row of cells."""
+    n = draw(st.integers(1, 5))
+    rows = []
+    for i in range(n):
+        cells = [draw(cell_text(0.0)) for _ in range(n)] + [draw(cell_text(1.0))]
+        rows.append((f"s{i}", cells))
+    if draw(st.booleans()):
+        rows.append(("V", [draw(cell_text(0.0)) for _ in range(n)]))
+    header = ",".join(["MU", *(f"s{i}" for i in range(n)), "D"])
+    text = "\n".join([header] + [",".join([label] + [written for _, written in cells])
+                                 for label, cells in rows]) + "\n"
+    return n, text, [(2 + k, [logical for logical, _ in cells])
+                     for k, (_, cells) in enumerate(rows)]
+
+
+def reference_parse(rows):
+    """Per-cell float() over the numeric cells: values, or the first error."""
+    parsed = []
+    for lineno, cells in rows:
+        values = []
+        for column, cell in enumerate(cells, start=2):
+            prefix = f"line {lineno}, column {column}: {cell!r} is"
+            try:
+                if "_" in cell:
+                    raise ValueError
+                value = float(cell)
+            except ValueError:
+                return None, (f"{prefix} not a number", lineno, column)
+            if not math.isfinite(value):
+                return None, (f"{prefix} not finite", lineno, column)
+            values.append(value)
+        parsed.append(values)
+    return parsed, None
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables())
+def test_parse_matches_per_cell_reference(tmp_path_factory, table):
+    n, text, rows = table
+    path = write(tmp_path_factory.getbasetemp(), "property.csv", text)
+    expected, error = reference_parse(rows)
+    if error is not None:
+        with pytest.raises(ParseError) as exc:
+            parse_table(path, tol_rel=math.inf, allow_negative_value_added=True)
+        assert (str(exc.value), exc.value.line, exc.value.column) == error
+        return
+    econ = parse_table(path, tol_rel=math.inf, allow_negative_value_added=True)
+    assert econ.transactions.tolist() == [row[:n] for row in expected[:n]]
+    assert econ.demand.tolist() == [row[n] for row in expected[:n]]
+    if len(expected) > n:
+        assert econ.value_added.tolist() == expected[n]
+
+
+def reference_serialize(econ):
+    """The per-cell writer: one format_float call per number."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([econ.money_unit, *econ.sectors, "D", "T"])
+    for i, label in enumerate(econ.sectors):
+        writer.writerow([label, *map(format_float, econ.transactions[i]),
+                         format_float(econ.demand[i]), format_float(econ.totals[i])])
+    writer.writerow(["V", *map(format_float, econ.value_added), "", ""])
+    writer.writerow(["T", *map(format_float, econ.totals), "", ""])
+    return out.getvalue()
+
+
+def reference_serialize_emissions(account, econ):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["sector", account.emission_unit])
+    for label, value in zip(econ.sectors, account.emissions):
+        writer.writerow([label, format_float(value)])
+    return out.getvalue()
+
+
+def economy_from(labels, values, money_unit=""):
+    """An economy (balanced or not) whose arrays take ``values`` in order."""
+    n = len(labels)
+    parts = np.split(np.asarray(values, dtype=float), [n * n, n * n + n, n * n + 2 * n])
+    return Economy(labels, parts[0].reshape(n, n), *parts[1:], money_unit=money_unit)
+
+
+@st.composite
+def float_economies(draw):
+    n = draw(st.integers(1, 5))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=n * n + 3 * n, max_size=n * n + 3 * n))
+    return economy_from([f"s{i}" for i in range(n)], values)
+
+
+class TestSerializeBytes:
+    EDGE = [-0.0, 5e-324, 1.7976931348623157e308, 0.1]
+    LABELS = ("a,b", 'say "hi"', "plain", 'both, "x"')
+
+    def edge_economy(self):
+        n = len(self.LABELS)
+        return economy_from(self.LABELS, np.resize(self.EDGE, n * n + 3 * n),
+                            money_unit='M,"U"')
+
+    def test_table_matches_per_cell_writer(self):
+        econ = self.edge_economy()
+        text = serialize_table(econ)
+        assert text == reference_serialize(econ)
+        for spelled in ("-0,", "4.9406564584124654e-324", "1.7976931348623157e+308",
+                        "0.10000000000000001", '"a,b"', '"say ""hi"""', '"M,""U"""'):
+            assert spelled in text
+
+    def test_emissions_match_per_cell_writer(self):
+        econ = self.edge_economy()
+        account = EmissionAccount(self.EDGE, emission_unit='kt, "CO2"')
+        assert (serialize_emissions(account, econ)
+                == reference_serialize_emissions(account, econ))
+
+    def test_written_bytes_equal_serialized(self, tmp_path):
+        econ = self.edge_economy()
+        account = EmissionAccount(self.EDGE, emission_unit="kt")
+        write_table(econ, tmp_path / "t.csv")
+        write_emissions(account, econ, tmp_path / "e.csv")
+        assert (tmp_path / "t.csv").read_bytes() == serialize_table(econ).encode()
+        assert ((tmp_path / "e.csv").read_bytes()
+                == serialize_emissions(account, econ).encode())
+
+    def test_mismatched_account_writes_nothing(self, tmp_path, worked_economy):
+        path = tmp_path / "e.csv"
+        with pytest.raises(MissingSector):
+            write_emissions(EmissionAccount([1.0]), worked_economy, path)
+        assert not path.exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(float_economies())
+    def test_random_doubles_match_per_cell_writer(self, econ):
+        assert serialize_table(econ) == reference_serialize(econ)
