@@ -22,12 +22,21 @@ dual conserve: ``V = (I - B^T) T`` holds by the column balance, mirroring
 ``D = (I - A) T`` on the row side. The transposed-technical variant is
 kept only as a comparison (it overcounts on economies with unequal
 totals; see :func:`systemic_intensity_from_technical`).
+
+This module also owns the requirements matrix ``I - A`` itself: how it is
+factored (:class:`Factorization`), when the factorization is refused
+(the ``RCOND_FAIL`` gate), and when its series diverges (the spectral
+radius estimate against ``RHO_MARGIN``). scipy is imported on the first
+factorization, not with this module, so commands that never factor a
+matrix (reading and validating a table, generating one, the series path)
+do not pay for loading it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,19 +49,25 @@ from .economy import (
     _check_shape,
 )
 from .errors import (
+    ConditioningWarning,
     DimensionMismatch,
     Divergent,
     KindMismatch,
+    SingularSystem,
     Truncated,
     ZeroTotal,
 )
-from .numerics import Factorization, perron_bound, spectral_radius_estimate
 
 NEUMANN_TOL = 1e-10
 NEUMANN_MAX_TERMS = 100_000
 # A spectral radius estimate at or beyond 1 - RHO_MARGIN means the series
 # cannot converge and the requirements inverse is treated as nonexistent.
 RHO_MARGIN = 1e-12
+# Reciprocal condition number thresholds: below RCOND_FAIL the factorization
+# is rejected as singular to working precision; below RCOND_WARN a warning is
+# emitted but the solve proceeds.
+RCOND_FAIL = 1e-14
+RCOND_WARN = 1e-8
 
 
 class CoefficientKind(enum.Enum):
@@ -123,6 +138,117 @@ class AttributionReport:
 
     def __post_init__(self):
         object.__setattr__(self, "per_sector", _as_readonly(self.per_sector))
+
+
+class Factorization:
+    """The requirements matrix ``I - A`` of coefficient values ``A``, LU-factored.
+
+    Row-pivoted LU, reusable for solves. The reciprocal condition number
+    (1-norm) is estimated at construction; a requirements matrix singular
+    to working precision raises :class:`SingularSystem` immediately, so
+    every solve through this object is backed by a usable pivot sequence.
+    """
+
+    def __init__(self, values: np.ndarray):
+        from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor
+
+        matrix = np.eye(len(values)) - values
+        # A 1-norm that overflows makes gecon fail, which the info gate
+        # below turns into SingularSystem.
+        with np.errstate(over="ignore"):
+            anorm = float(np.abs(matrix).sum(axis=0).max()) if matrix.size else 0.0
+        with warnings.catch_warnings():
+            # An exactly singular U produces a LinAlgWarning from getrf; the
+            # rcond gate below turns that case into SingularSystem.
+            warnings.simplefilter("ignore", LinAlgWarning)
+            lu, piv = lu_factor(matrix)
+        gecon = get_lapack_funcs(("gecon",), (lu,))[0]
+        rcond, info = gecon(lu, anorm, norm="1")
+        if info != 0:
+            raise SingularSystem(
+                f"condition estimation failed (LAPACK info={info})", rcond=None
+            )
+        rcond = float(rcond)
+        if not np.isfinite(rcond) or rcond < RCOND_FAIL:
+            raise SingularSystem(
+                "matrix is singular to working precision "
+                f"(estimated reciprocal condition number {rcond:.3e})",
+                rcond=rcond,
+            )
+        if rcond < RCOND_WARN:
+            warnings.warn(
+                f"matrix is poorly conditioned (rcond {rcond:.3e}); "
+                "results may lose accuracy",
+                ConditioningWarning,
+                stacklevel=2,
+            )
+        self._lu_piv = (lu, piv)
+        self._rcond = rcond
+
+    @property
+    def rcond(self) -> float:
+        """Estimated reciprocal condition number (1-norm)."""
+        return self._rcond
+
+    def solve(self, rhs: np.ndarray, transposed: bool = False) -> np.ndarray:
+        """Solve ``(I - A) x = rhs`` (or ``(I - A)^T x = rhs`` when ``transposed``)."""
+        from scipy.linalg import lu_solve
+
+        return lu_solve(self._lu_piv, rhs, trans=1 if transposed else 0)
+
+
+def perron_bound(values: np.ndarray) -> float:
+    """Upper bound on the Perron root of a nonnegative square matrix.
+
+    ``min(max column sum, max row sum)``; ``inf`` when a sum overflows.
+    """
+    with np.errstate(over="ignore"):
+        return float(min(values.sum(axis=0).max(), values.sum(axis=1).max()))
+
+
+def spectral_radius_estimate(values: np.ndarray, tol: float = 1e-12,
+                             max_iter: int = 1000) -> tuple[float, int, bool]:
+    """Estimate the dominant eigenvalue of a nonnegative square matrix.
+
+    Power iteration is run on ``values + I`` rather than ``values`` itself:
+    the shift leaves the dominant eigenvector unchanged, moves the Perron
+    root to ``rho + 1``, and removes the periodicity that stalls plain power
+    iteration on matrices like ``[[0, 2], [0.5, 0]]``. Growth is measured in
+    the 1-norm, which keeps every intermediate estimate at or below the
+    maximum column sum plus one.
+
+    Returns ``(rho, iterations, converged)``. The estimate is capped by
+    :func:`perron_bound`, so ``rho`` never exceeds the row-sum or the
+    column-sum bound. On a matrix whose iterates overflow, ``rho`` is NaN.
+
+    Parameters
+    ----------
+    values : nonnegative square matrix
+    tol : relative change in the eigenvalue estimate accepted as converged
+    max_iter : iteration cap; on hitting it ``converged`` is False
+    """
+    values = np.asarray(values, dtype=float)
+    n = values.shape[0]
+    bound = perron_bound(values)
+    if bound == 0.0:
+        return 0.0, 0, True
+    x = np.full(n, 1.0 / n)
+    lam_prev = None
+    lam = 1.0
+    converged = False
+    iterations = 0
+    # Overflowing iterates end in a NaN estimate, which callers' gates reject.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, max_iter + 1):
+            y = values @ x + x
+            lam = float(y.sum())  # 1-norm: y > 0 whenever x > 0
+            x = y / lam
+            if lam_prev is not None and abs(lam - lam_prev) <= tol * lam:
+                converged = True
+                break
+            lam_prev = lam
+    rho = min(max(lam - 1.0, 0.0), bound)
+    return rho, iterations, converged
 
 
 def _divergent_radius(values: np.ndarray) -> float | None:
@@ -202,11 +328,6 @@ def direct_intensity(econ: Economy, account: EmissionAccount) -> IntensityVector
     return IntensityVector(IntensityKind.DIRECT, account.emissions / econ.totals)
 
 
-def _factor_requirements(coefficients: CoefficientMatrix) -> Factorization:
-    n = coefficients.n
-    return Factorization(np.eye(n) - coefficients.values)
-
-
 def leontief_inverse(coefficients: CoefficientMatrix) -> np.ndarray:
     """The requirements inverse ``(I - A)^-1``, formed explicitly.
 
@@ -219,8 +340,7 @@ def leontief_inverse(coefficients: CoefficientMatrix) -> np.ndarray:
     Raises :class:`SingularSystem` (with the estimated reciprocal condition
     number) when ``I - A`` is singular to working precision.
     """
-    factored = _factor_requirements(coefficients)
-    return factored.solve(np.eye(coefficients.n))
+    return Factorization(coefficients.values).solve(np.eye(coefficients.n))
 
 
 def total_intensity(direct: IntensityVector,
@@ -231,8 +351,7 @@ def total_intensity(direct: IntensityVector,
     inverse is never formed.
     """
     _require_operands(direct, technical, CoefficientKind.TECHNICAL, "total intensity")
-    factored = _factor_requirements(technical)
-    values = factored.solve(direct.values, transposed=True)
+    values = Factorization(technical.values).solve(direct.values, transposed=True)
     return IntensityVector(IntensityKind.TOTAL_CONSUMER, values)
 
 
@@ -334,8 +453,7 @@ def systemic_intensity(direct: IntensityVector,
     """
     _require_operands(direct, allocation, CoefficientKind.ALLOCATION,
                       "systemic intensity")
-    factored = _factor_requirements(allocation)
-    values = factored.solve(direct.values)
+    values = Factorization(allocation.values).solve(direct.values)
     return IntensityVector(IntensityKind.TOTAL_SYSTEMIC, values)
 
 
@@ -350,8 +468,7 @@ def systemic_intensity_from_technical(direct: IntensityVector,
     """
     _require_operands(direct, technical, CoefficientKind.TECHNICAL,
                       "systemic intensity comparison")
-    factored = _factor_requirements(technical)
-    values = factored.solve(direct.values)
+    values = Factorization(technical.values).solve(direct.values)
     return IntensityVector(IntensityKind.TOTAL_SYSTEMIC, values)
 
 

@@ -21,8 +21,8 @@ from .leontief import (
     CoefficientMatrix,
     _divergent_radius,
     leontief_inverse,
+    spectral_radius_estimate,
 )
-from .numerics import spectral_radius_estimate
 
 
 @dataclass(frozen=True)

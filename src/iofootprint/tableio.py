@@ -32,7 +32,6 @@ import csv
 import io
 import math
 from collections.abc import Iterator
-from pathlib import Path
 
 import numpy as np
 
@@ -62,22 +61,34 @@ TOTAL_CROSS_CHECK_TOL = 1e-9
 
 
 def _read_rows(path) -> list[tuple[int, list[str]]]:
-    """Non-empty CSV rows with their 1-based line numbers, cells stripped."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Non-empty CSV rows with the 1-based file line each starts on, cells stripped."""
+    with open(path, newline="", encoding="utf-8") as file:
+        # Read whole, not streamed: freeing one file-sized string raises
+        # glibc's dynamic mmap threshold. Streamed, the n-by-n temporaries
+        # of a later perturb_inverse are each mapped afresh, which made the
+        # perturb command markedly slower.
+        text = file.read()
     rows = []
-    for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    lineno = 1
+    for row in reader:
         cells = list(map(str.strip, row))
         while cells and not cells[-1]:
             cells.pop()  # spreadsheet exports pad short rows with empty cells
         if cells:
             rows.append((lineno, cells))
+        lineno = reader.line_num + 1  # a quoted cell may span lines
     return rows
 
 
 def _parse_number(cell: str, lineno: int, column: int) -> float:
-    """One cell as a finite float. Digit separators (``1_000``) are rejected."""
+    """One cell as a finite float.
+
+    Digit separators (``1_000``) and non-ASCII digits (``١٢``) are rejected,
+    though ``float()`` reads both.
+    """
     try:
-        if "_" in cell:
+        if "_" in cell or not cell.isascii():
             raise ValueError
         value = float(cell)
     except ValueError:
@@ -99,7 +110,8 @@ def _parse_numbers(cells: list[str], lineno: int, column: int) -> np.ndarray:
     The whole row is converted in one call; only a row that fails it is
     retried cell by cell, so that the error names the first bad cell.
     """
-    if "_" not in "".join(cells):
+    joined = "".join(cells)
+    if "_" not in joined and joined.isascii():
         try:
             values = np.array(cells, dtype=float)
         except ValueError:
@@ -239,14 +251,16 @@ def parse_table(path, *, tol_rel: float = DEFAULT_BALANCE_TOL,
     )
 
 
-def _csv_line(cells, end: str = "\n") -> str:
-    """``cells`` in the csv module's quoting, followed by ``end``.
+def _csv_line(cells) -> str:
+    """``cells`` in the csv module's quoting, as one newline-terminated line.
 
-    ``_csv_line([label, ""], end="")`` is a row's label cell and its
+    ``_csv_line([label, ""])[:-1]`` is a row's label cell and its
     delimiter, ready for the numeric cells, which never need quoting.
+    Formatting the label under the line terminator is what makes the csv
+    module quote a label that contains a line break.
     """
     out = io.StringIO()
-    csv.writer(out, lineterminator=end).writerow(cells)
+    csv.writer(out, lineterminator="\n").writerow(cells)
     return out.getvalue()
 
 
@@ -261,7 +275,7 @@ def _table_lines(econ: Economy) -> Iterator[str]:
     for i, label in enumerate(econ.sectors):
         row = econ.transactions[i].tolist()
         row += (econ.demand[i], econ.totals[i])
-        yield f"{_csv_line([label, ''], end='')}{sector_row % tuple(row)}\n"
+        yield f"{_csv_line([label, ''])[:-1]}{sector_row % tuple(row)}\n"
     vector_row = _float_cells(econ.n)
     for label, values in (("V", econ.value_added), ("T", econ.totals)):
         yield f"{label},{vector_row % tuple(values.tolist())},,\n"
@@ -332,7 +346,7 @@ def _emission_lines(account: EmissionAccount, econ: Economy) -> list[str]:
             f"economy has {econ.n} sectors"
         )
     return [_csv_line(["sector", account.emission_unit])] + [
-        f"{_csv_line([label, ''], end='')}{FLOAT_SPEC % value}\n"
+        f"{_csv_line([label, ''])[:-1]}{FLOAT_SPEC % value}\n"
         for label, value in zip(econ.sectors, account.emissions.tolist())
     ]
 

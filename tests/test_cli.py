@@ -259,3 +259,38 @@ class TestLazyScipy:
             "assert 'scipy' not in sys.modules\n", tmp_path)
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "out" / "table.csv").is_file()
+
+
+class TestReadmeQuickstart:
+    """README's command-line quickstart runs as printed, on its own example files."""
+
+    README = Path(__file__).resolve().parent.parent / "README.md"
+
+    def quickstart(self):
+        text = self.README.read_text(encoding="utf-8")
+        section = text.split("## Command-line quickstart", 1)[1].split("\n## ", 1)[0]
+        blocks = section.split("```")[1::2]  # fenced block bodies, language first
+        files = [b.split("\n", 1)[1] for b in blocks if b.startswith("csv\n")]
+        consoles = [b.split("\n", 1)[1] for b in blocks if b.startswith("console\n")]
+        return files, consoles
+
+    def test_documented_output_appears(self, tmp_path, monkeypatch, capsys):
+        files, consoles = self.quickstart()
+        assert len(files) == 2
+        monkeypatch.chdir(tmp_path)
+        Path("table.csv").write_text(files[0], encoding="utf-8")
+        Path("emissions.csv").write_text(files[1], encoding="utf-8")
+        commands = []
+        for console in consoles:
+            for line in console.splitlines():
+                if line.startswith("$ iofootprint "):
+                    commands.append((line[len("$ iofootprint "):].split(), []))
+                elif " = " in line:
+                    commands[-1][1].append(line)
+        assert [argv[0] for argv, _ in commands] == [
+            "validate", "intensity", "attribute", "perturb", "generate"]
+        for argv, expected in commands:
+            assert run_command(argv) == 0, argv
+            out = capsys.readouterr().out.splitlines()
+            missing = [line for line in expected if line not in out]
+            assert not missing, (argv, missing)

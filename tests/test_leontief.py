@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -391,3 +393,20 @@ class TestTransposedTechnicalComparison:
             systemic_intensity_from_technical(
                 F, allocation_coefficients(worked_economy)
             )
+
+
+class TestOverflowingNorm:
+    """A finite matrix whose 1-norm overflows is singular, without a raw warning."""
+
+    A = CoefficientMatrix(CoefficientKind.TECHNICAL, [[1e308, 1e308], [1e308, 1e308]])
+
+    @pytest.mark.parametrize("call", [
+        lambda A: total_intensity(IntensityVector(IntensityKind.DIRECT, [1.0, 1.0]), A),
+        leontief_inverse,
+    ], ids=["total_intensity", "leontief_inverse"])
+    def test_singular_without_warnings(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystem) as exc:
+                call(self.A)
+        assert exc.value.rcond is None

@@ -12,6 +12,7 @@ from iofootprint import (
     demand_identity_residual,
     direct_intensity,
     generate_economy,
+    leontief_inverse,
     parse_emissions,
     parse_table,
     serialize_emissions,
@@ -67,6 +68,27 @@ def test_series_matches_solve_on_random_economies(config):
     X_series, _ = total_intensity_neumann(F, A, tol=1e-10)
     assert float(np.abs(X_series.values - X.values).max()) <= 1e-9
     assert np.all(X_series.values >= F.values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(
+    GeneratorConfig,
+    n=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    column_sum_cap=st.floats(min_value=0.05, max_value=0.99),
+))
+def test_solve_series_and_inverse_agree(config):
+    econ, acct = generate_economy(config)
+    A = technical_coefficients(econ)
+    F = direct_intensity(econ, acct)
+    X = total_intensity(F, A).values
+    X_series, _ = total_intensity_neumann(F, A, tol=1e-12)
+    X_inverse = F.values @ leontief_inverse(A)
+    scale = float(np.abs(X).max())
+    # the series stops at a term of 1e-12 relative size; its tail is at most
+    # 1 / (1 - 0.99) = 100 such terms
+    assert float(np.abs(X_series.values - X).max()) <= 1e-9 * scale
+    assert float(np.abs(X_inverse - X).max()) <= 1e-12 * scale
 
 
 @settings(max_examples=40, deadline=None)

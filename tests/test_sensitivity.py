@@ -137,6 +137,13 @@ class TestPerturbInverse:
             assert report.diverged_count == 0
 
 
+class TestDivergingDraws:
+    def test_some_draws_diverge_deterministically(self):
+        first = perturb_inverse(coeff([[0.995]]), 0.01, 50, seed=1)
+        assert 0 < first.diverged_count < first.samples
+        assert perturb_inverse(coeff([[0.995]]), 0.01, 50, seed=1) == first
+
+
 class TestOverflowingMatrix:
     """Power iteration overflows to a NaN estimate; every gate calls it divergent."""
 

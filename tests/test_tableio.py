@@ -416,3 +416,114 @@ class TestSerializeBytes:
     @given(float_economies())
     def test_random_doubles_match_per_cell_writer(self, econ):
         assert serialize_table(econ) == reference_serialize(econ)
+
+
+class TestLabelsWithSpecialCharacters:
+    """Labels and units holding a line break, a comma or a quote stay one cell."""
+
+    LABELS = ("A\nB", "C", "d,e", 'say "hi"', 'all\n, "three"')
+
+    def special_economy(self):
+        n = len(self.LABELS)
+        econ, _ = generate_economy(GeneratorConfig(n=n, seed=11))
+        return Economy(self.LABELS, econ.transactions, econ.demand,
+                       econ.value_added, econ.totals, money_unit='M\n,"U"')
+
+    def test_table_round_trips(self, tmp_path):
+        econ = self.special_economy()
+        write_table(econ, tmp_path / "t.csv")
+        parsed = parse_table(tmp_path / "t.csv")
+        TestRoundTrip().assert_economies_equal(parsed, econ)
+
+    def test_emissions_round_trip(self, tmp_path):
+        econ = self.special_economy()
+        account = EmissionAccount(np.arange(econ.n, dtype=float),
+                                  emission_unit='kt\n"CO2", e')
+        write_emissions(account, econ, tmp_path / "e.csv")
+        parsed = parse_emissions(tmp_path / "e.csv", econ)
+        assert np.array_equal(parsed.emissions, account.emissions)
+        assert parsed.emission_unit == account.emission_unit
+
+    def test_serialized_text_matches_per_cell_writer(self):
+        econ = self.special_economy()
+        account = EmissionAccount(np.ones(econ.n), emission_unit="a\nb")
+        assert serialize_table(econ) == reference_serialize(econ)
+        assert (serialize_emissions(account, econ)
+                == reference_serialize_emissions(account, econ))
+
+
+class TestPhysicalLineNumbers:
+    def test_position_counts_lines_inside_quoted_cells(self, tmp_path):
+        text = ('MU,"A\nB",C,D\n'
+                '"A\nB",1,2,3\n'
+                "C,4,5,oops\n")
+        with pytest.raises(ParseError, match="line 5, column 4") as exc:
+            parse_table(write(tmp_path, "t.csv", text))
+        assert (exc.value.line, exc.value.column) == (5, 4)
+
+    def test_crlf_table_parses_the_same(self, tmp_path):
+        lf = parse_table(write(tmp_path, "lf.csv", WORKED_TABLE))
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(WORKED_TABLE.replace("\n", "\r\n").encode())
+        crlf = parse_table(path)
+        TestRoundTrip().assert_economies_equal(crlf, lf)
+
+
+NON_ASCII_TWELVES = ["١٢", "１２"]  # Arabic-Indic, fullwidth
+
+
+class TestNonAsciiDigits:
+    """Digits outside ASCII are not a number, though float() reads them."""
+
+    @pytest.mark.parametrize("twelve", NON_ASCII_TWELVES)
+    def test_table_cell(self, tmp_path, twelve):
+        text = WORKED_TABLE.replace("s2,30,", f"s2,{twelve},")
+        with pytest.raises(ParseError, match=f"{twelve!r} is not a number") as exc:
+            parse_table(write(tmp_path, "t.csv", text))
+        assert (exc.value.line, exc.value.column) == (3, 2)
+
+    @pytest.mark.parametrize("twelve", NON_ASCII_TWELVES)
+    def test_vector_row_cell(self, tmp_path, twelve):
+        text = WORKED_TABLE.replace("V,70,30", f"V,70,{twelve}")
+        with pytest.raises(ParseError, match=f"{twelve!r} is not a number") as exc:
+            parse_table(write(tmp_path, "t.csv", text))
+        assert (exc.value.line, exc.value.column) == (4, 3)
+
+    @pytest.mark.parametrize("twelve", NON_ASCII_TWELVES)
+    def test_emission_cell(self, tmp_path, twelve):
+        econ = parse_table(write(tmp_path, "t.csv", WORKED_TABLE))
+        text = EMISSIONS.replace("s2,10", f"s2,{twelve}")
+        with pytest.raises(ParseError, match=f"{twelve!r} is not a number") as exc:
+            parse_emissions(write(tmp_path, "e.csv", text), econ)
+        assert (exc.value.line, exc.value.column) == (3, 2)
+
+
+class TestMalformedTable:
+    @pytest.mark.parametrize("text, line, column", [
+        ("", 1, None),
+        ("MU,D\n", 1, None),
+        ("MU,D,T\n", 1, None),
+        ("MU,s1,D,T,X\ns1,1,1,2\n", 1, None),
+        ("MU,s1,,D\ns1,1,1,1\n", 1, 3),
+        ("MU,s1,s2,D\ns1,1,1,1\n", 2, None),
+        (WORKED_TABLE + "X,1,2\n", 6, 1),
+        (WORKED_TABLE.replace("T,200,100,,", "V,70,30"), 5, None),
+        (WORKED_TABLE.replace("V,70,30,,", "V,70,30,1"), 4, None),
+    ], ids=["empty", "short-header", "no-sectors", "extra-columns", "empty-name",
+            "too-few-rows", "unknown-row", "duplicate-v", "wide-v"])
+    def test_located(self, tmp_path, text, line, column):
+        with pytest.raises(ParseError) as exc:
+            parse_table(write(tmp_path, "t.csv", text))
+        assert (exc.value.line, exc.value.column) == (line, column)
+
+
+class TestMalformedEmissions:
+    @pytest.mark.parametrize("text, line", [
+        ("", 1),
+        ("sector\ns1,20\ns2,10\n", 1),
+        ("sector,kt\ns1,20,5\ns2,10\n", 2),
+    ], ids=["empty", "one-cell-header", "three-cell-row"])
+    def test_located(self, tmp_path, worked_economy, text, line):
+        with pytest.raises(ParseError) as exc:
+            parse_emissions(write(tmp_path, "e.csv", text), worked_economy)
+        assert (exc.value.line, exc.value.column) == (line, None)
