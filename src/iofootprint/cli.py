@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -239,6 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """Write a warning as report lines, in the style of ``error.*``."""
+    sys.stderr.write(f"warning.type = {category.__name__}\n")
+    sys.stderr.write(f"warning.message = {message}\n")
+
+
 def run_command(argv) -> int:
     """Run one command and return its exit code (0 ok, 1 data, 2 usage)."""
     parser = build_parser()
@@ -246,16 +253,18 @@ def run_command(argv) -> int:
         args = parser.parse_args(list(argv))
     except SystemExit as exit_:  # argparse exits 2 on usage errors, 0 on --help
         return int(exit_.code or 0)
-    try:
-        return args.func(args)
-    except FootprintError as err:
-        sys.stderr.write(f"error.type = {type(err).__name__}\n")
-        sys.stderr.write(f"error.message = {err}\n")
-        return 1
-    except OSError as err:
-        sys.stderr.write("error.type = FileError\n")
-        sys.stderr.write(f"error.message = {err}\n")
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except FootprintError as err:
+            sys.stderr.write(f"error.type = {type(err).__name__}\n")
+            sys.stderr.write(f"error.message = {err}\n")
+            return 1
+        except OSError as err:
+            sys.stderr.write("error.type = FileError\n")
+            sys.stderr.write(f"error.message = {err}\n")
+            return 1
 
 
 def main() -> None:

@@ -24,12 +24,22 @@ is free::
 
 All numbers are written with 17 significant digits, so a parse of a
 serialized economy reproduces it bit for bit.
+
+A file is read whole and decoded as UTF-8. If it holds no quote and no
+carriage return, as every file written here with plain labels does, its
+lines are split on ``,`` directly; any other file goes through the csv
+module, which reads it the same way. Rows are converted one at a time
+into the economy's arrays, so no list of every cell exists. The read
+stays whole because choosing the reader needs the whole text, and
+because freeing it leaves the allocator in a state a later
+perturbation run depends on (see :func:`_read_rows`).
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from collections.abc import Iterator
 
@@ -60,25 +70,78 @@ RESERVED_LABELS = frozenset({"D", "T", "V"})
 TOTAL_CROSS_CHECK_TOL = 1e-9
 
 
-def _read_rows(path) -> list[tuple[int, list[str]]]:
-    """Non-empty CSV rows with the 1-based file line each starts on, cells stripped."""
-    with open(path, newline="", encoding="utf-8") as file:
-        # Read whole, not streamed: freeing one file-sized string raises
-        # glibc's dynamic mmap threshold. Streamed, the n-by-n temporaries
-        # of a later perturb_inverse are each mapped afresh, which made the
-        # perturb command markedly slower.
-        text = file.read()
-    rows = []
+def _read_rows(path) -> Iterator[tuple[int, list[str]]]:
+    """Non-empty rows with the 1-based file line each starts on.
+
+    Only the label cell is stripped. Numeric cells keep their padding,
+    which :func:`_parse_number` and numpy ignore, and the callers strip
+    the other cells of a header. Trailing blank cells are dropped:
+    spreadsheet exports pad short rows.
+    """
+    with open(path, "rb") as file:
+        # Read whole, not streamed: the reader choice below needs the text,
+        # and freeing one file-sized string raises glibc's dynamic mmap
+        # threshold. Streamed, the n-by-n temporaries of a later
+        # perturb_inverse are each mapped afresh, which made the perturb
+        # command markedly slower.
+        data = file.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        lineno = data.count(b"\n", 0, err.start) + 1
+        raise ParseError(
+            f"line {lineno}: byte {data[err.start]:#04x} is not UTF-8 text",
+            line=lineno,
+        ) from None
+    del data
+    limit = csv.field_size_limit()
+    if '"' in text or "\r" in text:
+        rows = _csv_rows(text, limit)
+    else:
+        rows = _split_rows(text, limit)
+    for lineno, cells in rows:
+        while cells and not cells[-1].strip():
+            cells.pop()
+        if cells:
+            cells[0] = cells[0].strip()
+            yield lineno, cells
+
+
+def _oversized(lineno: int, limit: int) -> ParseError:
+    return ParseError(
+        f"line {lineno}: field larger than field limit ({limit})", line=lineno
+    )
+
+
+def _split_rows(text: str, limit: int) -> Iterator[tuple[int, list[str]]]:
+    r"""Every line of a text with no quote and no carriage return, as csv reads it.
+
+    Lines end at ``"\n"`` only (``str.splitlines`` would also split at
+    ``"\x0c"``, ``"\x1c"`` or ``"\u2028"``), and cells at every comma.
+    """
+    start = 0
+    for lineno in itertools.count(1):
+        end = text.find("\n", start)
+        line = text[start:] if end < 0 else text[start:end]
+        cells = line.split(",")
+        if len(line) > limit and max(map(len, cells)) > limit:
+            raise _oversized(lineno, limit)
+        yield lineno, cells
+        if end < 0:
+            return
+        start = end + 1
+
+
+def _csv_rows(text: str, limit: int) -> Iterator[tuple[int, list[str]]]:
+    """Every record of a text in the csv module's dialect."""
     reader = csv.reader(io.StringIO(text, newline=""))
     lineno = 1
-    for row in reader:
-        cells = list(map(str.strip, row))
-        while cells and not cells[-1]:
-            cells.pop()  # spreadsheet exports pad short rows with empty cells
-        if cells:
-            rows.append((lineno, cells))
-        lineno = reader.line_num + 1  # a quoted cell may span lines
-    return rows
+    try:
+        for row in reader:
+            yield lineno, row
+            lineno = reader.line_num + 1  # a quoted cell may span lines
+    except csv.Error:  # the one error the default dialect raises here
+        raise _oversized(lineno, limit) from None
 
 
 def _parse_number(cell: str, lineno: int, column: int) -> float:
@@ -87,6 +150,7 @@ def _parse_number(cell: str, lineno: int, column: int) -> float:
     Digit separators (``1_000``) and non-ASCII digits (``١٢``) are rejected,
     though ``float()`` reads both.
     """
+    cell = cell.strip()
     try:
         if "_" in cell or not cell.isascii():
             raise ValueError
@@ -136,10 +200,10 @@ def parse_table(path, *, tol_rel: float = DEFAULT_BALANCE_TOL,
     line (and column where it applies).
     """
     rows = _read_rows(path)
-    if not rows:
+    lineno, header = next(rows, (1, None))
+    if header is None:
         raise ParseError(f"{path}: file is empty", line=1)
-
-    lineno, header = rows[0]
+    header = [cell.strip() for cell in header]
     if len(header) < 3:
         raise ParseError(
             f"line {lineno}: header needs at least one sector and a D column",
@@ -182,17 +246,16 @@ def parse_table(path, *, tol_rel: float = DEFAULT_BALANCE_TOL,
 
     n = len(sectors)
     width = 1 + n + 1 + (1 if has_total_column else 0)
-    if len(rows) < 1 + n:
-        raise ParseError(
-            f"expected {n} sector rows after the header, found {len(rows) - 1}",
-            line=rows[-1][0],
-        )
-
     transactions = np.zeros((n, n))
     demand = np.zeros(n)
     totals_column = np.zeros(n) if has_total_column else None
     for i in range(n):
-        lineno, cells = rows[1 + i]
+        lineno, cells = next(rows, (lineno, None))
+        if cells is None:
+            raise ParseError(
+                f"expected {n} sector rows after the header, found {i}",
+                line=lineno,
+            )
         if cells[0] != sectors[i]:
             raise ParseError(
                 f"line {lineno}: row label {cells[0]!r} does not match "
@@ -211,7 +274,7 @@ def parse_table(path, *, tol_rel: float = DEFAULT_BALANCE_TOL,
             totals_column[i] = values[n + 1]
 
     vectors: dict[str, np.ndarray] = {}  # the optional V and T rows
-    for lineno, cells in rows[1 + n:]:
+    for lineno, cells in rows:
         label = cells[0]
         if label not in ("V", "T"):
             raise ParseError(
@@ -294,19 +357,19 @@ def write_table(econ: Economy, path) -> None:
 def parse_emissions(path, econ: Economy) -> EmissionAccount:
     """Parse an emission file and align it to the economy's sector order."""
     rows = _read_rows(path)
-    if not rows:
+    lineno, header = next(rows, (1, None))
+    if header is None:
         raise ParseError(f"{path}: file is empty", line=1)
-    lineno, header = rows[0]
     if len(header) < 2:
         raise ParseError(
             f"line {lineno}: emission header must declare the unit in its "
             "second cell",
             line=lineno,
         )
-    unit = header[1]
+    unit = header[1].strip()
 
     values: dict[str, float] = {}
-    for lineno, cells in rows[1:]:
+    for lineno, cells in rows:
         if len(cells) != 2:
             raise ParseError(
                 f"line {lineno}: expected two cells (sector, value), "

@@ -294,3 +294,44 @@ class TestReadmeQuickstart:
             out = capsys.readouterr().out.splitlines()
             missing = [line for line in expected if line not in out]
             assert not missing, (argv, missing)
+
+
+class TestUnreadableInput:
+    """Undecodable and oversized cells end in a ParseError report, not a traceback."""
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["unquoted", "quoted"])
+    @pytest.mark.parametrize("label", ["s\xe92", "x" * 200_000],
+                             ids=["latin-1", "long-label"])
+    def test_parse_error_report(self, tmp_path, capsys, label, quote):
+        path = tmp_path / "table.csv"
+        text = WORKED_TABLE.replace("s2", f"{quote}{label}{quote}")
+        path.write_bytes(text.encode("latin-1"))
+        assert run_command(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        kind, message = captured.err.splitlines()
+        assert kind == "error.type = ParseError"
+        assert message.startswith("error.message = line 1: ")
+
+
+class TestWarningLines:
+    # rcond of I - A is about 1e-10, between RCOND_FAIL and RCOND_WARN.
+    ILL_CONDITIONED = "MU,a,b,D\na,0.5,0.4999999999,1e-10\nb,0.4999999999,0.5,1e-10\n"
+
+    def test_conditioning_warning_is_a_report_line(self, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text(self.ILL_CONDITIONED, encoding="utf-8")
+        emissions = tmp_path / "emissions.csv"
+        emissions.write_text("sector,kt\na,1\nb,2\n", encoding="utf-8")
+        argv = ["intensity", str(table), str(emissions)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run_command(argv) == 0
+        quiet = capsys.readouterr()
+        assert quiet.err == ""
+        assert run_command(argv) == 0
+        reported = capsys.readouterr()
+        assert reported.out == quiet.out
+        kind, message = reported.err.splitlines()
+        assert kind == "warning.type = ConditioningWarning"
+        assert message.startswith("warning.message = matrix is poorly conditioned")

@@ -24,6 +24,7 @@ from iofootprint import (
     serialize_emissions,
     serialize_table,
 )
+from iofootprint import tableio
 from iofootprint.reporting import format_float
 from iofootprint.tableio import write_emissions, write_table
 
@@ -527,3 +528,166 @@ class TestMalformedEmissions:
         with pytest.raises(ParseError) as exc:
             parse_emissions(write(tmp_path, "e.csv", text), worked_economy)
         assert (exc.value.line, exc.value.column) == (line, None)
+
+
+# Two readers serve parse_table and parse_emissions: a file with no quote and
+# no carriage return is split on "\n" and ",", any other goes through the csv
+# module. Everything below checks that the choice never shows.
+
+
+def for_both_readers(text):
+    """``text`` as given (the split reader) and with CRLF line ends (csv).
+
+    An empty file becomes one blank CRLF line, which is still empty.
+    """
+    assert '"' not in text and "\r" not in text
+    return [text, text.replace("\n", "\r\n") or "\r\n"]
+
+
+def parse_outcome(parse, path, *args, **kwargs):
+    """``parse(path, ...)``, or its ParseError as (message, line, column)."""
+    try:
+        return parse(path, *args, **kwargs)
+    except ParseError as err:
+        return str(err), err.line, err.column
+
+
+def economy_bytes(econ):
+    arrays = (econ.transactions, econ.demand, econ.value_added, econ.totals)
+    return (econ.sectors, econ.money_unit, *(a.tobytes() for a in arrays))
+
+
+def outcomes(path, texts, parse=parse_table, *args, **kwargs):
+    """The outcome of parsing each of ``texts``, written in turn to ``path``."""
+    results = []
+    for text in texts:
+        path.write_bytes(text.encode("utf-8"))
+        result = parse_outcome(parse, path, *args, **kwargs)
+        results.append(economy_bytes(result) if isinstance(result, Economy)
+                       else result)
+    return results
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables())
+def test_both_readers_match_per_cell_reference(tmp_path_factory, table):
+    """The reference property, on each drawn table unquoted (split reader)
+    and with only its money unit quoted (csv reader)."""
+    n, text, rows = table
+    plain = text.replace('"', "")
+    path = tmp_path_factory.getbasetemp() / "readers.csv"
+    split, quoted = outcomes(path, [plain, '"MU"' + plain[2:]], tol_rel=math.inf,
+                             allow_negative_value_added=True)
+    assert split == quoted
+    expected, error = reference_parse(rows)
+    if error is not None:
+        assert split == error
+        return
+    transactions, demand, value_added = (np.frombuffer(b) for b in split[2:5])
+    assert transactions.reshape(n, n).tolist() == [row[:n] for row in expected[:n]]
+    assert demand.tolist() == [row[n] for row in expected[:n]]
+    if len(expected) > n:
+        assert value_added.tolist() == expected[n]
+
+
+# TestMalformedTable's inputs, read from its parametrize mark.
+_MALFORMED = TestMalformedTable.test_located.pytestmark[0]
+
+# Inputs that a reader cutting lines with str.splitlines(), or keeping blank
+# or padded cells, would read differently from the csv module.
+QUIRKS = {
+    "padded-header": WORKED_TABLE.replace("MU,s1,s2,D,T", " MU, s1 ,s2\t,D ,T\xa0"),
+    "blank-trailing-cells": WORKED_TABLE.replace(",200\n", ",200, ,\t\n"),
+    "blank-lines": WORKED_TABLE.replace("\ns2,", "\n\n \t\n\ns2,"),
+    "no-final-newline": WORKED_TABLE[:-1],
+    "nbsp-padded-numbers": WORKED_TABLE.replace("s2,30,20,", "s2,\xa030\xa0, 20\xa0,"),
+    "form-feed-label": WORKED_TABLE.replace("s1", "s\x0c1"),
+    "file-separator-label": WORKED_TABLE.replace("s1", "s\x1c1"),
+    "line-separator-label": WORKED_TABLE.replace("s1", "s\u20281"),
+}
+
+
+class TestBothReaders:
+    def test_reader_follows_quotes_and_carriage_returns(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("_split_rows", "_csv_rows"):
+            def spy(*args, _real=getattr(tableio, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(tableio, name, spy)
+        texts = [WORKED_TABLE, WORKED_TABLE.replace("MU", '"MU"'),
+                 WORKED_TABLE.replace("\n", "\r\n")]
+        split, quoted, crlf = outcomes(tmp_path / "t.csv", texts)
+        assert calls == ["_split_rows", "_csv_rows", "_csv_rows"]
+        assert split == quoted == crlf
+
+    @pytest.mark.parametrize(*_MALFORMED.args, **_MALFORMED.kwargs)
+    def test_malformed_table_located(self, tmp_path, text, line, column):
+        split, csv_ = outcomes(tmp_path / "t.csv", for_both_readers(text))
+        assert split == csv_
+        assert split[1:] == (line, column)
+
+    @pytest.mark.parametrize("text", QUIRKS.values(), ids=QUIRKS.keys())
+    def test_same_economy(self, tmp_path, text):
+        split, csv_ = outcomes(tmp_path / "t.csv", for_both_readers(text))
+        assert split == csv_
+        worked = economy_bytes(parse_table(write(tmp_path, "w.csv", WORKED_TABLE)))
+        assert split[1:] == worked[1:]
+        header = text.split("\n", 1)[0].split(",")
+        assert split[0] == tuple(cell.strip() for cell in header[1:3])
+
+    @pytest.mark.parametrize("text", QUIRKS.values(), ids=QUIRKS.keys())
+    def test_same_error_line(self, tmp_path, text):
+        text = text.replace("V,70,30", "V,70,oops")
+        split, csv_ = outcomes(tmp_path / "t.csv", for_both_readers(text))
+        assert split == csv_
+        line = text[:text.index("V,70,oops")].count("\n") + 1
+        assert split[1:] == (line, 3)
+
+    def test_same_emissions(self, tmp_path, worked_economy):
+        text = "sector, kt CO2 \n\n s2 ,\xa010\xa0, \ns1,20"
+        split, csv_ = outcomes(tmp_path / "e.csv", for_both_readers(text),
+                               parse_emissions, worked_economy)
+        for account in (split, csv_):
+            assert account.emissions.tolist() == [20.0, 10.0]
+            assert account.emission_unit == "kt CO2"
+
+
+class TestFieldLimit:
+    """A cell longer than csv.field_size_limit() is a located ParseError."""
+
+    LIMIT = csv.field_size_limit()
+
+    @pytest.mark.parametrize("text, line", [
+        (WORKED_TABLE.replace("s2", "x" * (LIMIT + 1)), 1),
+        (WORKED_TABLE.replace("V,70,", "V," + "0" * (LIMIT - 1) + "70,"), 4),
+    ], ids=["label", "number"])
+    def test_located_on_both_readers(self, tmp_path, text, line):
+        split, csv_ = outcomes(tmp_path / "t.csv", for_both_readers(text))
+        assert split == csv_ == (
+            f"line {line}: field larger than field limit ({self.LIMIT})", line, None)
+
+    @pytest.mark.parametrize("text", [
+        WORKED_TABLE.replace("s2", "x" * LIMIT),
+        WORKED_TABLE.replace("V,70,", "V," + "0" * (LIMIT - 2) + "70,"),
+    ], ids=["label", "number"])
+    def test_limit_itself_is_accepted(self, tmp_path, text):
+        split, csv_ = outcomes(tmp_path / "t.csv", for_both_readers(text))
+        assert split == csv_
+        assert isinstance(split[0], tuple)  # the sectors of a parsed economy
+
+
+class TestUndecodable:
+    def test_table_names_line_of_first_bad_byte(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(WORKED_TABLE.replace("s2,30", "s\xe92,30").encode("latin-1"))
+        with pytest.raises(ParseError, match="line 3: byte 0xe9 is not UTF-8") as exc:
+            parse_table(path)
+        assert (exc.value.line, exc.value.column) == (3, None)
+
+    def test_emissions(self, tmp_path, worked_economy):
+        path = tmp_path / "e.csv"
+        path.write_bytes("sector,kt CO₂\ns1,20\ns2,10\n".encode("utf-16"))
+        with pytest.raises(ParseError, match="line 1: byte 0xff") as exc:
+            parse_emissions(path, worked_economy)
+        assert exc.value.line == 1
