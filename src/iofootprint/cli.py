@@ -5,6 +5,12 @@ identities, compute ``intensity`` vectors, ``attribute`` the emission
 total to demand or value added, probe inverse stability with ``perturb``,
 and ``generate`` synthetic table/emissions pairs. Exit codes are a
 contract: 0 success, 1 data or consistency failure, 2 usage error.
+
+Each ``_cmd_*`` function computes its report and returns it as a nested
+mapping together with its verdict; :func:`run_command` is the one place
+that renders a report, writes it to stdout, turns the verdict into exit
+code 0 or 1, and reports errors and warnings as ``error.*`` and
+``warning.*`` lines on stderr.
 """
 
 from __future__ import annotations
@@ -63,67 +69,64 @@ def _int_in(low: int, high: int):
     return parse
 
 
-def _parse_policy_args(args):
-    return dict(
+def _load(args, tol_rel: float = DEFAULT_BALANCE_TOL):
+    """Parse the command's table under its negative value-added and zero-total flags."""
+    return parse_table(
+        args.table, tol_rel=tol_rel,
         allow_negative_value_added=args.allow_negative_v,
         on_zero_total=ZERO_TOTAL_DROP if args.drop_zero_sectors else ZERO_TOTAL_ERROR,
     )
 
 
-def _balance_tree(report, sectors) -> dict:
+def _load_direct(args):
+    """The table, its emission account and their direct intensity."""
+    econ = _load(args)
+    account = parse_emissions(args.emissions, econ)
+    return econ, account, direct_intensity(econ, account)
+
+
+def _cmd_validate(args) -> tuple[dict, bool]:
+    # Parse with an unbounded balance tolerance so an imbalanced table still
+    # comes back as an economy; the report below carries the verdict.
+    econ = _load(args, tol_rel=math.inf)
+    report = validate_balance(econ, tol_rel=args.tol)
     return {
         "balance": {
             "ok": report.ok,
             "max_residual": report.max_residual,
-            "row_residuals": sector_map(sectors, report.row_residuals),
-            "col_residuals": sector_map(sectors, report.col_residuals),
+            "row_residuals": sector_map(econ.sectors, report.row_residuals),
+            "col_residuals": sector_map(econ.sectors, report.col_residuals),
         }
-    }
+    }, report.ok
 
 
-def _cmd_validate(args) -> int:
-    # Parse with an unbounded balance tolerance so an imbalanced table still
-    # comes back as an economy; the report below carries the verdict.
-    econ = parse_table(args.table, tol_rel=math.inf, **_parse_policy_args(args))
-    report = validate_balance(econ, tol_rel=args.tol)
-    sys.stdout.write(render(_balance_tree(report, econ.sectors)))
-    return 0 if report.ok else 1
-
-
-def _cmd_intensity(args) -> int:
-    econ = parse_table(args.table, **_parse_policy_args(args))
-    account = parse_emissions(args.emissions, econ)
+def _cmd_intensity(args) -> tuple[dict, bool]:
+    econ, account, direct = _load_direct(args)
     coefficients = technical_coefficients(econ)
-    direct = direct_intensity(econ, account)
-    tree = {
-        "intensity": {
-            "method": args.method,
-            "emission_unit": account.emission_unit,
-            "money_unit": econ.money_unit,
-            "direct": sector_map(econ.sectors, direct.values),
-        }
+    report = {
+        "method": args.method,
+        "emission_unit": account.emission_unit,
+        "money_unit": econ.money_unit,
+        "direct": sector_map(econ.sectors, direct.values),
     }
     if args.method == "neumann":
-        total, terms = total_intensity_neumann(direct, coefficients, tol=args.tol)
-        tree["intensity"]["terms"] = terms
+        total, report["terms"] = total_intensity_neumann(direct, coefficients,
+                                                         tol=args.tol)
     else:
         total = total_intensity(direct, coefficients)
-    tree["intensity"]["total"] = sector_map(econ.sectors, total.values)
-    sys.stdout.write(render(tree))
-    return 0
+    report["total"] = sector_map(econ.sectors, total.values)
+    return {"intensity": report}, True
 
 
-def _cmd_attribute(args) -> int:
-    econ = parse_table(args.table, **_parse_policy_args(args))
-    account = parse_emissions(args.emissions, econ)
-    direct = direct_intensity(econ, account)
+def _cmd_attribute(args) -> tuple[dict, bool]:
+    econ, account, direct = _load_direct(args)
     if args.basis == "demand":
         total = total_intensity(direct, technical_coefficients(econ))
         report = attribute_to_demand(total, econ.demand, account)
     else:
         systemic = systemic_intensity(direct, allocation_coefficients(econ))
         report = attribute_to_value_added(systemic, econ.value_added, account)
-    tree = {
+    return {
         "attribution": {
             "basis": args.basis,
             "emission_unit": account.emission_unit,
@@ -132,16 +135,13 @@ def _cmd_attribute(args) -> int:
             "total_emissions": report.total_emissions,
             "conservation_residual": report.conservation_residual,
         }
-    }
-    sys.stdout.write(render(tree))
-    return 0 if report.conservation_residual <= ATTRIBUTION_RESIDUAL_LIMIT else 1
+    }, report.conservation_residual <= ATTRIBUTION_RESIDUAL_LIMIT
 
 
-def _cmd_perturb(args) -> int:
-    econ = parse_table(args.table, **_parse_policy_args(args))
-    coefficients = technical_coefficients(econ)
+def _cmd_perturb(args) -> tuple[dict, bool]:
+    coefficients = technical_coefficients(_load(args))
     report = perturb_inverse(coefficients, args.epsilon, args.samples, args.seed)
-    tree = {
+    return {
         "perturbation": {
             "epsilon": report.epsilon,
             "samples": report.samples,
@@ -151,30 +151,25 @@ def _cmd_perturb(args) -> int:
             "amplification": report.amplification,
             "diverged_count": report.diverged_count,
         }
-    }
-    sys.stdout.write(render(tree))
-    return 0
+    }, True
 
 
-def _cmd_generate(args) -> int:
-    config = GeneratorConfig(n=args.n, seed=args.seed)
-    econ, account = generate_economy(config)
+def _cmd_generate(args) -> tuple[dict, bool]:
+    econ, account = generate_economy(GeneratorConfig(n=args.n, seed=args.seed))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / "table.csv"
     emissions_path = out_dir / "emissions.csv"
     write_table(econ, table_path)
     write_emissions(account, econ, emissions_path)
-    tree = {
+    return {
         "generate": {
             "n": econ.n,
             "seed": args.seed,
             "table": str(table_path),
             "emissions": str(emissions_path),
         }
-    }
-    sys.stdout.write(render(tree))
-    return 0
+    }, True
 
 
 def _add_table_options(parser: argparse.ArgumentParser) -> None:
@@ -256,15 +251,14 @@ def run_command(argv) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
-            return args.func(args)
-        except FootprintError as err:
-            sys.stderr.write(f"error.type = {type(err).__name__}\n")
+            tree, ok = args.func(args)
+            sys.stdout.write(render(tree))
+        except (FootprintError, OSError) as err:
+            kind = "FileError" if isinstance(err, OSError) else type(err).__name__
+            sys.stderr.write(f"error.type = {kind}\n")
             sys.stderr.write(f"error.message = {err}\n")
             return 1
-        except OSError as err:
-            sys.stderr.write("error.type = FileError\n")
-            sys.stderr.write(f"error.message = {err}\n")
-            return 1
+    return 0 if ok else 1
 
 
 def main() -> None:

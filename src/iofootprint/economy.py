@@ -59,8 +59,20 @@ def _check_entries(arr: np.ndarray, name: str, *, nonnegative: bool = True) -> N
         index = tuple(int(k) for k in np.unravel_index(int(np.argmax(bad)), arr.shape))
         index = index[0] if arr.ndim == 1 else index
         rule = "negative or not finite" if nonnegative else "not finite"
-        raise NegativeEntry(f"{name} entry {index} is {rule} ({arr[index]!r})",
+        raise NegativeEntry(f"{name} entry {index} is {rule} ({float(arr[index])!r})",
                             index=index)
+
+
+def _fsum(values, name: str) -> float:
+    """The compensated (``math.fsum``) sum of finite ``values``.
+
+    A sum beyond the float range raises :class:`NegativeEntry`, the error
+    for every value that is not finite, in place of fsum's OverflowError.
+    """
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise NegativeEntry(f"{name} overflows the float range") from None
 
 
 @dataclass(frozen=True)
@@ -118,7 +130,7 @@ class EmissionAccount:
     @property
     def total(self) -> float:
         """Total emissions over all sectors, as a compensated (``fsum``) sum."""
-        return math.fsum(self.emissions)
+        return _fsum(self.emissions, "emission total")
 
 
 @dataclass(frozen=True)
@@ -233,7 +245,7 @@ def build_economy(sectors, transactions, demand, value_added=None, totals=None,
     if (V < 0).any() and not allow_negative_value_added:
         i = int(np.argmax(V < 0))
         raise NegativeEntry(
-            f"value added of sector {labels[i]!r} is negative ({V[i]!r}); "
+            f"value added of sector {labels[i]!r} is negative ({float(V[i])!r}); "
             "pass allow_negative_value_added=True to accept it",
             index=i,
         )

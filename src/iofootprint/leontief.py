@@ -47,6 +47,7 @@ from .economy import (
     _as_readonly,
     _check_entries,
     _check_shape,
+    _fsum,
 )
 from .errors import (
     ConditioningWarning,
@@ -325,7 +326,10 @@ def direct_intensity(econ: Economy, account: EmissionAccount) -> IntensityVector
     """Emissions per unit of money of each sector's own operations, ``e_i / t_i``."""
     _require_positive_totals(econ)
     _check_shape(account.emissions, (econ.n,), "emission account")
-    return IntensityVector(IntensityKind.DIRECT, account.emissions / econ.totals)
+    # A quotient that overflows is rejected as not finite by IntensityVector.
+    with np.errstate(over="ignore"):
+        values = account.emissions / econ.totals
+    return IntensityVector(IntensityKind.DIRECT, values)
 
 
 def leontief_inverse(coefficients: CoefficientMatrix) -> np.ndarray:
@@ -388,22 +392,25 @@ def total_intensity_neumann(direct: IntensityVector,
     partial = direct.values.copy()
     term = direct.values
     terms = 1
-    while True:
-        term = term @ A
-        term_norm = float(np.abs(term).max())
-        partial_norm = float(np.abs(partial).max())
-        if term_norm <= tol * partial_norm:
-            break
-        if terms >= max_terms:
-            raise Truncated(
-                f"series not converged after {terms} terms "
-                f"(next term relative size {term_norm / partial_norm:.3e})",
-                residual=term_norm / partial_norm,
-                partial=IntensityVector(IntensityKind.TOTAL_CONSUMER, partial),
-                terms=terms,
-            )
-        partial = partial + term
-        terms += 1
+    # A partial sum that overflows ends the loop; IntensityVector then
+    # rejects it as not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            term = term @ A
+            term_norm = float(np.abs(term).max())
+            partial_norm = float(np.abs(partial).max())
+            if term_norm <= tol * partial_norm or not math.isfinite(partial_norm):
+                break
+            if terms >= max_terms:
+                raise Truncated(
+                    f"series not converged after {terms} terms "
+                    f"(next term relative size {term_norm / partial_norm:.3e})",
+                    residual=term_norm / partial_norm,
+                    partial=IntensityVector(IntensityKind.TOTAL_CONSUMER, partial),
+                    terms=terms,
+                )
+            partial = partial + term
+            terms += 1
     return IntensityVector(IntensityKind.TOTAL_CONSUMER, partial), terms
 
 
@@ -420,9 +427,11 @@ def consumer_direct_footprint(direct: IntensityVector, demand: np.ndarray) -> fl
 
 def _attribution(weights: np.ndarray, intensity: np.ndarray,
                  account: EmissionAccount) -> AttributionReport:
-    per_sector = intensity * weights
-    # math.fsum: compensated, order-independent, bit-reproducible totals.
-    total_attributed = math.fsum(per_sector)
+    with np.errstate(over="ignore"):
+        per_sector = intensity * weights
+    _check_entries(per_sector, "attributed emission", nonnegative=False)
+    # fsum: compensated, order-independent, bit-reproducible totals.
+    total_attributed = _fsum(per_sector, "attributed emission total")
     total_emissions = account.total
     diff = abs(total_attributed - total_emissions)
     residual = diff / total_emissions if total_emissions > 0 else diff

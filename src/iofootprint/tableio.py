@@ -302,8 +302,8 @@ def parse_table(path, *, tol_rel: float = DEFAULT_BALANCE_TOL,
                 > TOTAL_CROSS_CHECK_TOL * scale[worst]):
             raise ParseError(
                 f"total of sector {sectors[worst]!r} differs between the T "
-                f"column ({totals_column[worst]!r}) and the T row "
-                f"({totals_row[worst]!r})"
+                f"column ({float(totals_column[worst])!r}) and the T row "
+                f"({float(totals_row[worst])!r})"
             )
 
     return build_economy(
@@ -332,6 +332,22 @@ def _float_cells(count: int) -> str:
     return ",".join([FLOAT_SPEC] * count)
 
 
+def _check_unpadded(econ: Economy, unit_kind: str, unit: str) -> None:
+    """Raise :class:`ParseError` for a label or unit with surrounding whitespace.
+
+    The readers strip label and header cells, so such a label would come
+    back changed; this is their rule, :meth:`str.strip`, applied before
+    anything is written.
+    """
+    labels = [(unit_kind, unit)] + [("sector label", s) for s in econ.sectors]
+    for kind, label in labels:
+        if label != label.strip():
+            raise ParseError(
+                f"{kind} {label!r} has leading or trailing whitespace, "
+                "which a reader would strip"
+            )
+
+
 def _table_lines(econ: Economy) -> Iterator[str]:
     yield _csv_line([econ.money_unit, *econ.sectors, "D", "T"])
     sector_row = _float_cells(econ.n + 2)
@@ -346,10 +362,12 @@ def _table_lines(econ: Economy) -> Iterator[str]:
 
 def serialize_table(econ: Economy) -> str:
     """Render an economy in the table layout, exactly re-parseable."""
+    _check_unpadded(econ, "money unit", econ.money_unit)
     return "".join(_table_lines(econ))
 
 
 def write_table(econ: Economy, path) -> None:
+    _check_unpadded(econ, "money unit", econ.money_unit)  # before the file opens
     with open(path, "w", encoding="utf-8") as out:
         out.writelines(_table_lines(econ))
 
@@ -408,6 +426,7 @@ def _emission_lines(account: EmissionAccount, econ: Economy) -> list[str]:
             f"account has {account.emissions.shape[0]} entries, "
             f"economy has {econ.n} sectors"
         )
+    _check_unpadded(econ, "emission unit", account.emission_unit)
     return [_csv_line(["sector", account.emission_unit])] + [
         f"{_csv_line([label, ''])[:-1]}{FLOAT_SPEC % value}\n"
         for label, value in zip(econ.sectors, account.emissions.tolist())

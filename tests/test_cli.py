@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from iofootprint import (
+    GeneratorConfig,
+    allocation_coefficients,
+    attribute_to_demand,
+    attribute_to_value_added,
+    direct_intensity,
+    generate_economy,
+    parse_emissions,
+    parse_table,
+    perturb_inverse,
+    serialize_emissions,
+    serialize_table,
+    systemic_intensity,
+    technical_coefficients,
+    total_intensity,
+    total_intensity_neumann,
+    validate_balance,
+)
 from iofootprint.cli import run_command
 
 WORKED_TABLE = """\
@@ -335,3 +354,143 @@ class TestWarningLines:
         kind, message = reported.err.splitlines()
         assert kind == "warning.type = ConditioningWarning"
         assert message.startswith("warning.message = matrix is poorly conditioned")
+
+
+class TestOverflowReports:
+    """Overflowing sums and quotients exit 1 with the two error lines only."""
+
+    # Emissions of 1e308 per sector: the attributed total overflows.
+    HUGE = ("MU,a,b,D\na,1,0,1\nb,0,1,1\n", "sector,kt\na,1e308\nb,1e308\n")
+    # Totals of 2e-300 with emissions of 1e10: the direct intensity overflows.
+    TINY = ("MU,a,b,D\na,1e-300,0,1e-300\nb,0,1e-300,1e-300\n",
+            "sector,kt\na,1e10\nb,1e10\n")
+
+    @pytest.mark.parametrize("table, emissions, argv, message", [
+        (*HUGE, ["attribute"], "attributed emission total overflows the float range"),
+        (*HUGE, ["attribute", "--basis", "value-added"],
+         "attributed emission total overflows the float range"),
+        (*TINY, ["intensity"], "intensity entry 0 is not finite (inf)"),
+        (*TINY, ["attribute"], "intensity entry 0 is not finite (inf)"),
+    ], ids=["fsum-demand", "fsum-value-added", "quotient-intensity",
+            "quotient-attribute"])
+    def test_error_lines_only(self, tmp_path, capsys, table, emissions, argv, message):
+        (tmp_path / "t.csv").write_text(table, encoding="utf-8")
+        (tmp_path / "e.csv").write_text(emissions, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # a raw warning would print its lines
+            code = run_command(argv[:1] + [str(tmp_path / "t.csv"),
+                                           str(tmp_path / "e.csv")] + argv[1:])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error.type = NegativeEntry", f"error.message = {message}"]
+
+
+def test_dropping_every_sector_is_a_zero_total_error(tmp_path, capsys):
+    path = tmp_path / "zero.csv"
+    path.write_text("MU,a,b,D\na,0,0,0\nb,0,0,0\n", encoding="utf-8")
+    assert run_command(["validate", str(path), "--drop-zero-sectors"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-2:] == ["error.type = ZeroTotal",
+                        "error.message = all sectors have zero total output"]
+
+
+class TestCommandContract:
+    """Each command's report: its keys in a fixed order, and its values bit for bit
+    those of the library calls the command makes."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        econ, account = generate_economy(GeneratorConfig(n=3, seed=11))
+        table, emissions = tmp_path / "table.csv", tmp_path / "emissions.csv"
+        table.write_text(serialize_table(econ), encoding="utf-8")
+        emissions.write_text(serialize_emissions(account, econ), encoding="utf-8")
+        return str(table), str(emissions)
+
+    @staticmethod
+    def report(capsys, argv, keys, values):
+        assert run_command(argv) == 0
+        pairs = [line.split(" = ", 1) for line in capsys.readouterr().out.splitlines()]
+        assert [key for key, _ in pairs] == keys
+        assert len(values) == len(keys)
+        for (key, text), value in zip(pairs, values):
+            if isinstance(value, bool):
+                assert text == ("true" if value else "false"), key
+            elif isinstance(value, (int, str)):
+                assert text == str(value), key
+            else:  # 17 digits read back to the same double
+                assert float(text) == value, key
+
+    @staticmethod
+    def per_sector(prefix):
+        return [f"{prefix}.S1", f"{prefix}.S2", f"{prefix}.S3"]
+
+    def test_validate(self, files, capsys):
+        econ = parse_table(files[0], tol_rel=math.inf)
+        report = validate_balance(econ)
+        self.report(capsys, ["validate", files[0]], [
+            "balance.ok", "balance.max_residual",
+            *self.per_sector("balance.row_residuals"),
+            *self.per_sector("balance.col_residuals"),
+        ], [report.ok, report.max_residual, *report.row_residuals,
+            *report.col_residuals])
+
+    @pytest.mark.parametrize("method", ["solve", "neumann"])
+    def test_intensity(self, files, capsys, method):
+        econ = parse_table(files[0])
+        account = parse_emissions(files[1], econ)
+        direct = direct_intensity(econ, account)
+        A = technical_coefficients(econ)
+        if method == "neumann":
+            total, terms = total_intensity_neumann(direct, A)
+            terms_key, terms_value = ["intensity.terms"], [terms]
+        else:
+            total = total_intensity(direct, A)
+            terms_key, terms_value = [], []
+        self.report(capsys, ["intensity", *files, "--method", method], [
+            "intensity.method", "intensity.emission_unit", "intensity.money_unit",
+            *self.per_sector("intensity.direct"), *terms_key,
+            *self.per_sector("intensity.total"),
+        ], [method, "kt CO2", "MU", *direct.values, *terms_value, *total.values])
+
+    @pytest.mark.parametrize("basis", ["demand", "value-added"])
+    def test_attribute(self, files, capsys, basis):
+        econ = parse_table(files[0])
+        account = parse_emissions(files[1], econ)
+        direct = direct_intensity(econ, account)
+        if basis == "demand":
+            total = total_intensity(direct, technical_coefficients(econ))
+            report = attribute_to_demand(total, econ.demand, account)
+        else:
+            systemic = systemic_intensity(direct, allocation_coefficients(econ))
+            report = attribute_to_value_added(systemic, econ.value_added, account)
+        self.report(capsys, ["attribute", *files, "--basis", basis], [
+            "attribution.basis", "attribution.emission_unit",
+            *self.per_sector("attribution.per_sector"),
+            "attribution.total_attributed", "attribution.total_emissions",
+            "attribution.conservation_residual",
+        ], [basis, "kt CO2", *report.per_sector, report.total_attributed,
+            report.total_emissions, report.conservation_residual])
+
+    def test_perturb(self, files, capsys):
+        report = perturb_inverse(technical_coefficients(parse_table(files[0])),
+                                 0.01, 20, 5)
+        self.report(capsys, ["perturb", files[0], "--epsilon", "0.01",
+                             "--samples", "20", "--seed", "5"], [
+            "perturbation.epsilon", "perturbation.samples", "perturbation.seed",
+            "perturbation.baseline_norm", "perturbation.max_deviation",
+            "perturbation.amplification", "perturbation.diverged_count",
+        ], [0.01, 20, 5, report.baseline_norm, report.max_deviation,
+            report.amplification, report.diverged_count])
+
+    def test_generate(self, tmp_path, capsys):
+        out = tmp_path / "gen"
+        argv = ["generate", "--n", "4", "--seed", "9", "--out", str(out)]
+        self.report(capsys, argv, [
+            "generate.n", "generate.seed", "generate.table", "generate.emissions",
+        ], [4, 9, str(out / "table.csv"), str(out / "emissions.csv")])
+        econ, account = generate_economy(GeneratorConfig(n=4, seed=9))
+        assert (out / "table.csv").read_text(encoding="utf-8") == serialize_table(econ)
+        assert ((out / "emissions.csv").read_text(encoding="utf-8")
+                == serialize_emissions(account, econ))

@@ -18,6 +18,7 @@ from iofootprint import (
     technical_coefficients,
     validate_balance,
 )
+from iofootprint.economy import ZERO_TOTAL_DROP
 
 
 class TestBuildEconomy:
@@ -226,3 +227,33 @@ class TestNonFiniteBalance:
 
 def test_emission_total_is_compensated():
     assert EmissionAccount([1e16, 1.0, 1.0]).total == 1.0000000000000002e16
+
+
+class TestGuards:
+    def test_matrix_emission_account(self):
+        with pytest.raises(DimensionMismatch, match=r"got shape \(2, 2\)"):
+            EmissionAccount([[1.0, 2.0], [3.0, 4.0]])
+
+    def test_unknown_zero_total_policy(self):
+        with pytest.raises(ValueError, match="unknown zero-total policy 'keep'"):
+            build_economy(["a"], [[1.0]], [1.0], on_zero_total="keep")
+
+    def test_dropping_every_sector(self, caplog):
+        with pytest.raises(ZeroTotal, match="^all sectors have zero total output$"):
+            with caplog.at_level(logging.WARNING, logger="iofootprint.economy"):
+                build_economy(["a", "b"], np.zeros((2, 2)), [0.0, 0.0],
+                              on_zero_total=ZERO_TOTAL_DROP)
+
+    def test_negative_value_added_message_prints_a_plain_float(self):
+        with pytest.raises(NegativeEntry) as exc:
+            build_economy(["a", "b"], [[0.0, 4.0], [0.0, 1.0]], [1.0, 0.0])
+        assert str(exc.value) == (
+            "value added of sector 'b' is negative (-4.0); "
+            "pass allow_negative_value_added=True to accept it"
+        )
+
+
+def test_overflowing_emission_total_is_a_typed_error():
+    account = EmissionAccount([1e308, 1e308])
+    with pytest.raises(NegativeEntry, match="^emission total overflows"):
+        account.total

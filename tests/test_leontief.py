@@ -13,6 +13,7 @@ from iofootprint import (
     IntensityKind,
     IntensityVector,
     KindMismatch,
+    NegativeEntry,
     SingularSystem,
     Truncated,
     ZeroTotal,
@@ -29,6 +30,7 @@ from iofootprint import (
     total_intensity,
     total_intensity_neumann,
 )
+from iofootprint.leontief import Factorization
 
 # Frozen oracle values for the worked 2-sector economy, computed with the
 # explicit 2x2 cofactor inverse (det(I-A) = det(I-B^T) = 0.325) and plain
@@ -410,3 +412,66 @@ class TestOverflowingNorm:
             with pytest.raises(SingularSystem) as exc:
                 call(self.A)
         assert exc.value.rcond is None
+
+
+class TestShapeGuards:
+    def test_non_square_coefficient_matrix(self):
+        with pytest.raises(DimensionMismatch, match=r"square, got shape \(2, 3\)"):
+            CoefficientMatrix(CoefficientKind.TECHNICAL, np.zeros((2, 3)))
+
+    def test_matrix_intensity(self):
+        with pytest.raises(DimensionMismatch, match=r"vector, got shape \(2, 2\)"):
+            IntensityVector(IntensityKind.DIRECT, np.zeros((2, 2)))
+
+    def test_nonfinite_intensity_message_prints_a_plain_float(self):
+        with pytest.raises(NegativeEntry) as exc:
+            IntensityVector(IntensityKind.DIRECT, [np.inf, 1.0])
+        assert str(exc.value) == "intensity entry 0 is not finite (inf)"
+
+
+def test_factorization_rcond_is_the_reciprocal_condition_number():
+    # For a 2x2 matrix the 1-norm estimate is exact: 1 / (||M||_1 ||M^-1||_1).
+    M = np.eye(2) - np.array(WORKED_A)
+    exact = 1.0 / (np.abs(M).sum(axis=0).max() * np.abs(inv2x2(M)).sum(axis=0).max())
+    assert Factorization(np.array(WORKED_A)).rcond == pytest.approx(exact, rel=1e-12)
+
+
+class TestOverflow:
+    """Results beyond the float range are typed errors, not warnings or tracebacks."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_direct_intensity_quotient(self):
+        econ = build_economy(["a", "b"], [[1e-300, 0.0], [0.0, 1e-300]],
+                             [1e-300, 1e-300])
+        with pytest.raises(NegativeEntry,
+                           match=r"^intensity entry 0 is not finite \(inf\)$"):
+            direct_intensity(econ, EmissionAccount([1e10, 1e10]))
+
+    def test_series_partial_sum(self):
+        econ = build_economy(["a", "b"], [[0.5, 0.49], [0.49, 0.5]], [0.01, 0.01])
+        direct = direct_intensity(econ, EmissionAccount([1e307, 1e307]))
+        with pytest.raises(NegativeEntry, match="is not finite"):
+            total_intensity_neumann(direct, technical_coefficients(econ))
+
+    def test_attributed_total(self):
+        econ = build_economy(["a", "b"], [[0.0, 0.0], [0.0, 0.0]], [1.0, 1.0])
+        account = EmissionAccount([1e308, 1e308])
+        direct = direct_intensity(econ, account)
+        total = total_intensity(direct, technical_coefficients(econ))
+        with pytest.raises(NegativeEntry, match="^attributed emission total "
+                                                "overflows the float range$"):
+            attribute_to_demand(total, econ.demand, account)
+        systemic = systemic_intensity(direct, allocation_coefficients(econ))
+        with pytest.raises(NegativeEntry, match="overflows the float range"):
+            attribute_to_value_added(systemic, econ.value_added, account)
+
+    def test_attributed_entry(self):
+        total = IntensityVector(IntensityKind.TOTAL_CONSUMER, [1e300, 1.0])
+        with pytest.raises(NegativeEntry, match=r"^attributed emission entry 0 "
+                                                r"is not finite \(inf\)$"):
+            attribute_to_demand(total, [1e10, 1.0], EmissionAccount([1.0, 1.0]))

@@ -1,9 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iofootprint import (
+    ConditioningWarning,
+    EmissionAccount,
+    FootprintError,
     GeneratorConfig,
     allocation_coefficients,
     attribute_to_demand,
@@ -155,3 +160,62 @@ def test_emission_order_is_irrelevant(tmp_path, seed):
 
     parsed = parse_emissions(shuffled, econ)
     assert np.array_equal(parsed.emissions, acct.emissions)
+
+
+@st.composite
+def adversarial_economies(draw):
+    """Flows, demand and emissions from 1e-300 to 1e300, spectral radius near 1.
+
+    Every column of the coefficient matrix sums to ``rho``, so ``rho`` is
+    its Perron root. Returns the ``build_economy`` arguments and the
+    emissions; overflowing or underflowing inputs are left for the
+    package to reject.
+    """
+    n = draw(st.integers(min_value=1, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    rho = 1.0 - 10.0 ** -draw(st.integers(min_value=1, max_value=14))
+    exponents = st.lists(st.integers(min_value=-300, max_value=300),
+                         min_size=n, max_size=n)
+    demand = rng.uniform(0.1, 1.0, n) * 10.0 ** np.array(draw(exponents), float)
+    emissions = rng.uniform(0.0, 1.0, n) * 10.0 ** np.array(draw(exponents), float)
+    raw = rng.uniform(0.0, 1.0, (n, n))
+    with np.errstate(all="ignore"):
+        coefficients = raw * (rho / raw.sum(axis=0))
+        totals = np.linalg.solve(np.eye(n) - coefficients, demand)
+        transactions = coefficients * totals
+    sectors = [f"S{i + 1}" for i in range(n)]
+    return (sectors, transactions, demand), emissions
+
+
+def _typed(step):
+    """``step()``, or None when it raises a FootprintError."""
+    try:
+        return step()
+    except FootprintError:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(adversarial_economies())
+def test_adversarial_magnitudes_end_in_a_result_or_a_typed_error(case):
+    table, emissions = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a raw RuntimeWarning fails the test
+        warnings.simplefilter("ignore", ConditioningWarning)  # the package's own
+        econ = _typed(lambda: build_economy(*table))
+        account = _typed(lambda: EmissionAccount(emissions))
+        if econ is None or account is None:
+            return
+        direct = _typed(lambda: direct_intensity(econ, account))
+        if direct is None:
+            return
+        total = _typed(lambda: total_intensity(direct, technical_coefficients(econ)))
+        if total is not None:
+            _typed(lambda: attribute_to_demand(total, econ.demand, account))
+        _typed(lambda: total_intensity_neumann(direct, technical_coefficients(econ),
+                                               max_terms=2000))
+        systemic = _typed(
+            lambda: systemic_intensity(direct, allocation_coefficients(econ)))
+        if systemic is not None:
+            _typed(lambda: attribute_to_value_added(systemic, econ.value_added,
+                                                    account))

@@ -691,3 +691,61 @@ class TestUndecodable:
         with pytest.raises(ParseError, match="line 1: byte 0xff") as exc:
             parse_emissions(path, worked_economy)
         assert exc.value.line == 1
+
+
+def test_total_mismatch_message_prints_plain_floats(tmp_path):
+    text = "MU,a,b,D,T\na,1,0,1,2\nb,0,1,1,2\nT,2,2.5\n"
+    with pytest.raises(ParseError) as exc:
+        parse_table(write(tmp_path, "t.csv", text))
+    assert str(exc.value) == (
+        "total of sector 'b' differs between the T column (2.0) and the T row (2.5)"
+    )
+
+
+class TestPaddedLabels:
+    """A label or unit the readers would strip is refused before anything is written."""
+
+    @staticmethod
+    def economy(sectors=("a", "b"), money_unit="MU"):
+        return Economy(sectors, np.eye(2), [1.0, 1.0], [1.0, 1.0], [2.0, 2.0],
+                       money_unit)
+
+    @pytest.mark.parametrize("sectors, money_unit, unit, message", [
+        ((" a", "b "), " MU", "kt", "money unit ' MU'"),
+        ((" a", "b "), "MU", "kt", "sector label ' a'"),
+        (("a", "b\xa0"), "MU", "kt", "sector label 'b\\xa0'"),
+        (("a", "\x1cb"), "MU", "kt", "sector label '\\x1cb'"),
+        (("a", "b"), "MU\t", "kt", "money unit 'MU\\t'"),
+    ], ids=["money-unit", "sector", "nbsp", "file-separator", "tab"])
+    def test_table_is_refused(self, tmp_path, sectors, money_unit, unit, message):
+        econ = self.economy(sectors, money_unit)
+        for write_out in (lambda: write_table(econ, tmp_path / "t.csv"),
+                          lambda: serialize_table(econ)):
+            with pytest.raises(ParseError) as exc:
+                write_out()
+            assert str(exc.value) == (
+                f"{message} has leading or trailing whitespace, "
+                "which a reader would strip"
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("sectors, unit", [
+        ((" a", "b "), "kt"), (("a", "b"), " kt"), (("a", "b"), "kt\xa0"),
+    ], ids=["sector", "unit", "nbsp-unit"])
+    def test_emissions_are_refused(self, tmp_path, sectors, unit):
+        econ = self.economy(sectors, "MU")
+        account = EmissionAccount([1.0, 2.0], unit)
+        with pytest.raises(ParseError, match="leading or trailing whitespace"):
+            write_emissions(account, econ, tmp_path / "e.csv")
+        with pytest.raises(ParseError, match="leading or trailing whitespace"):
+            serialize_emissions(account, econ)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_inner_whitespace_round_trips(self, tmp_path):
+        econ = self.economy(("farm a", "b\xa0b"), "M U")
+        account = EmissionAccount([1.0, 2.0], "kt CO2")
+        write_table(econ, tmp_path / "t.csv")
+        write_emissions(account, econ, tmp_path / "e.csv")
+        parsed = parse_table(tmp_path / "t.csv")
+        assert (parsed.sectors, parsed.money_unit) == (econ.sectors, "M U")
+        assert parse_emissions(tmp_path / "e.csv", parsed).emission_unit == "kt CO2"
