@@ -9,13 +9,14 @@ contract: 0 success, 1 data or consistency failure, 2 usage error.
 Each ``_cmd_*`` function computes its report and returns it as a nested
 mapping together with its verdict; :func:`run_command` is the one place
 that renders a report, writes it to stdout, turns the verdict into exit
-code 0 or 1, and reports errors and warnings as ``error.*`` and
-``warning.*`` lines on stderr.
+code 0 or 1, and reports errors, warnings and the package's logged
+messages as ``error.*`` and ``warning.*`` lines on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import math
 import sys
 import warnings
@@ -235,10 +236,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _show_warning(message, category, filename, lineno, file=None, line=None):
+def _write_warning(kind: str, message) -> None:
     """Write a warning as report lines, in the style of ``error.*``."""
-    sys.stderr.write(f"warning.type = {category.__name__}\n")
+    sys.stderr.write(f"warning.type = {kind}\n")
     sys.stderr.write(f"warning.message = {message}\n")
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    _write_warning(category.__name__, message)
+
+
+class _WarningLines(logging.Handler):
+    """Writes each logged record as warning lines typed by its logger's name."""
+
+    def emit(self, record: logging.LogRecord) -> None:
+        _write_warning(record.name, record.getMessage())
 
 
 def run_command(argv) -> int:
@@ -248,6 +260,9 @@ def run_command(argv) -> int:
         args = parser.parse_args(list(argv))
     except SystemExit as exit_:  # argparse exits 2 on usage errors, 0 on --help
         return int(exit_.code or 0)
+    package_logger = logging.getLogger("iofootprint")
+    handler = _WarningLines(logging.WARNING)
+    package_logger.addHandler(handler)
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
@@ -258,6 +273,8 @@ def run_command(argv) -> int:
             sys.stderr.write(f"error.type = {kind}\n")
             sys.stderr.write(f"error.message = {err}\n")
             return 1
+        finally:
+            package_logger.removeHandler(handler)
     return 0 if ok else 1
 
 

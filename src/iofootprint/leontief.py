@@ -26,16 +26,23 @@ totals; see :func:`systemic_intensity_from_technical`).
 This module also owns the requirements matrix ``I - A`` itself: how it is
 factored (:class:`Factorization`), when the factorization is refused
 (the ``RCOND_FAIL`` gate), and when its series diverges (the spectral
-radius estimate against ``RHO_MARGIN``). scipy is imported on the first
-factorization, not with this module, so commands that never factor a
-matrix (reading and validating a table, generating one, the series path)
-do not pay for loading it.
+radius estimate against ``RHO_MARGIN``). The factorization calls
+scipy's compiled LAPACK module directly. That module is loaded on the
+first factorization, from its file, after a plain ``import scipy``;
+``scipy.linalg`` itself is never imported, and commands that factor
+nothing (reading and validating a table, generating one, the series
+path) load no scipy at all.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -97,6 +104,20 @@ class CoefficientMatrix:
             )
         _check_entries(self.values, "coefficient")
 
+    @classmethod
+    def _over(cls, kind: CoefficientKind, values: np.ndarray) -> CoefficientMatrix:
+        """A matrix over a read-only view of ``values``: no copy, no entry check.
+
+        For a caller that has vetted ``values`` and changes them only
+        between uses of the result.
+        """
+        view = values.view()
+        view.flags.writeable = False
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "kind", kind)
+        object.__setattr__(matrix, "values", view)
+        return matrix
+
     @property
     def n(self) -> int:
         return self.values.shape[0]
@@ -141,30 +162,68 @@ class AttributionReport:
         object.__setattr__(self, "per_sector", _as_readonly(self.per_sector))
 
 
+@functools.cache
+def _lapack():
+    """scipy's compiled LAPACK module, loaded without ``scipy.linalg``.
+
+    Importing ``scipy.linalg`` takes about 0.3 s, most of it in modules the
+    three routines used here never touch. Its extension module
+    ``_flapack`` is loaded instead, from its file in ``scipy/linalg``,
+    under its own name, so a later ``import scipy.linalg`` reuses it. The
+    plain ``import scipy`` before it is a few milliseconds and runs
+    scipy's platform setup (the bundled-library path on Windows). A scipy
+    that keeps the module elsewhere is imported the ordinary way.
+    """
+    import scipy
+
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+            return module
+    return importlib.import_module(name)
+
+
 class Factorization:
     """The requirements matrix ``I - A`` of coefficient values ``A``, LU-factored.
 
-    Row-pivoted LU, reusable for solves. The reciprocal condition number
-    (1-norm) is estimated at construction; a requirements matrix singular
-    to working precision raises :class:`SingularSystem` immediately, so
-    every solve through this object is backed by a usable pivot sequence.
+    Row-pivoted LU (LAPACK ``dgetrf``), reusable for solves. The reciprocal
+    condition number (1-norm, ``dgecon``) is estimated at construction; a
+    requirements matrix singular to working precision raises
+    :class:`SingularSystem` immediately, so every solve through this object
+    is backed by a usable pivot sequence.
+
+    ``I - A`` is formed in ``work`` when it is given: an n-by-n float array
+    in Fortran order, which then holds the LU factors. A caller factoring
+    many matrices of one size reuses it to allocate nothing per matrix.
     """
 
-    def __init__(self, values: np.ndarray):
-        from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor
-
-        matrix = np.eye(len(values)) - values
-        # A 1-norm that overflows makes gecon fail, which the info gate
-        # below turns into SingularSystem.
-        with np.errstate(over="ignore"):
-            anorm = float(np.abs(matrix).sum(axis=0).max()) if matrix.size else 0.0
-        with warnings.catch_warnings():
-            # An exactly singular U produces a LinAlgWarning from getrf; the
-            # rcond gate below turns that case into SingularSystem.
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(matrix)
-        gecon = get_lapack_funcs(("gecon",), (lu,))[0]
-        rcond, info = gecon(lu, anorm, norm="1")
+    def __init__(self, values: np.ndarray, *, work: np.ndarray | None = None):
+        lapack = _lapack()
+        n = len(values)
+        matrix = np.empty((n, n), order="F") if work is None else work
+        # I - A without an identity matrix, entry for entry as np.eye(n) - A
+        # computes it (off the diagonal 0.0 - a, so zeros stay +0.0).
+        np.subtract(0.0, values, out=matrix)
+        np.fill_diagonal(matrix, 1.0 - np.diagonal(values))
+        # A 1-norm that overflows is inf, which makes gecon fail; the info
+        # gate below turns that into SingularSystem.
+        anorm = lapack.dlange("1", matrix)
+        # An exactly singular U (info > 0) gets rcond 0 from gecon, which
+        # the rcond gate below turns into SingularSystem.
+        lu, piv, info = lapack.dgetrf(matrix, overwrite_a=True)
+        if info < 0:
+            raise SingularSystem(
+                f"LU factorization failed (LAPACK info={info})", rcond=None
+            )
+        rcond, info = lapack.dgecon(lu, anorm, norm="1")
         if info != 0:
             raise SingularSystem(
                 f"condition estimation failed (LAPACK info={info})", rcond=None
@@ -191,11 +250,18 @@ class Factorization:
         """Estimated reciprocal condition number (1-norm)."""
         return self._rcond
 
-    def solve(self, rhs: np.ndarray, transposed: bool = False) -> np.ndarray:
-        """Solve ``(I - A) x = rhs`` (or ``(I - A)^T x = rhs`` when ``transposed``)."""
-        from scipy.linalg import lu_solve
+    def solve(self, rhs: np.ndarray, transposed: bool = False, *,
+              overwrite: bool = False) -> np.ndarray:
+        """Solve ``(I - A) x = rhs`` (or ``(I - A)^T x = rhs`` when ``transposed``).
 
-        return lu_solve(self._lu_piv, rhs, trans=1 if transposed else 0)
+        With ``overwrite``, a float ``rhs`` in Fortran order is overwritten
+        by the solution and returned; any other ``rhs`` is copied.
+        """
+        x, info = _lapack().dgetrs(*self._lu_piv, rhs,
+                                   trans=1 if transposed else 0, overwrite_b=overwrite)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
+        return x
 
 
 def perron_bound(values: np.ndarray) -> float:
@@ -332,7 +398,9 @@ def direct_intensity(econ: Economy, account: EmissionAccount) -> IntensityVector
     return IntensityVector(IntensityKind.DIRECT, values)
 
 
-def leontief_inverse(coefficients: CoefficientMatrix) -> np.ndarray:
+def leontief_inverse(coefficients: CoefficientMatrix, *,
+                     out: np.ndarray | None = None,
+                     work: np.ndarray | None = None) -> np.ndarray:
     """The requirements inverse ``(I - A)^-1``, formed explicitly.
 
     Computed as n linear solves against the identity on a single
@@ -341,10 +409,20 @@ def leontief_inverse(coefficients: CoefficientMatrix) -> np.ndarray:
     how far the inverse moves; the intensity operations below solve against
     the factorization directly instead of multiplying by this inverse.
 
+    ``out`` receives the inverse and ``work`` the factors (see
+    :class:`Factorization`); both are n-by-n float arrays in Fortran order.
+    Given both, nothing of size n-by-n is allocated.
+
     Raises :class:`SingularSystem` (with the estimated reciprocal condition
     number) when ``I - A`` is singular to working precision.
     """
-    return Factorization(coefficients.values).solve(np.eye(coefficients.n))
+    factorization = Factorization(coefficients.values, work=work)
+    n = coefficients.n
+    if out is None:
+        out = np.empty((n, n), order="F")
+    out.fill(0.0)
+    np.fill_diagonal(out, 1.0)
+    return factorization.solve(out, overwrite=True)
 
 
 def total_intensity(direct: IntensityVector,

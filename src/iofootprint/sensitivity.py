@@ -11,13 +11,13 @@ closed form).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import Divergent, DomainError, SingularSystem
 from .leontief import (
-    CoefficientKind,
     CoefficientMatrix,
     _divergent_radius,
     leontief_inverse,
@@ -69,22 +69,6 @@ def spectral_radius(coefficients: CoefficientMatrix, tol: float = 1e-12,
     return SpectralEstimate(rho, iterations, converged)
 
 
-def _norm_inf(matrix: np.ndarray) -> float:
-    return float(np.abs(matrix).sum(axis=1).max())
-
-
-def _deviation(base_inverse: np.ndarray, perturbed: np.ndarray,
-               kind: CoefficientKind) -> float | None:
-    """Inverse deviation for one perturbed matrix, or None if it diverged."""
-    if _divergent_radius(perturbed) is not None:
-        return None
-    try:
-        inv = leontief_inverse(CoefficientMatrix(kind, perturbed))
-    except SingularSystem:
-        return None
-    return _norm_inf(inv - base_inverse)
-
-
 def perturb_inverse(coefficients: CoefficientMatrix, epsilon: float,
                     samples: int, seed: int) -> PerturbationReport:
     """Sample entrywise perturbations and measure the inverse's movement.
@@ -97,12 +81,20 @@ def perturb_inverse(coefficients: CoefficientMatrix, epsilon: float,
     probed deterministically as well, so the worst case is hit exactly
     rather than approached in distribution.
 
+    The perturbed matrix, its factors and its inverse live in three n-by-n
+    buffers allocated once, so a draw allocates nothing of size n-by-n.
+
     Raises :class:`Divergent` when the baseline matrix itself is already
     outside the convergent regime, and :class:`DomainError` for a
-    nonpositive ``epsilon`` or negative ``samples``.
+    nonpositive ``epsilon``, one whose noise range ``2 * epsilon`` is not
+    finite, or negative ``samples``.
     """
     if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
+    if not math.isfinite(2.0 * epsilon):
+        raise DomainError(
+            f"epsilon must be finite and 2 * epsilon must not overflow, got {epsilon!r}"
+        )
     if samples < 0:
         raise DomainError(f"samples must be nonnegative, got {samples!r}")
     base = coefficients.values
@@ -113,23 +105,48 @@ def perturb_inverse(coefficients: CoefficientMatrix, epsilon: float,
             "the requirements inverse does not exist"
         )
     base_inverse = leontief_inverse(coefficients)
-    baseline_norm = _norm_inf(base_inverse)
+    baseline_norm = float(np.abs(base_inverse).sum(axis=1).max())
+
+    n = coefficients.n
+    perturbed = np.empty((n, n))
+    drawn = CoefficientMatrix._over(coefficients.kind, perturbed)
+    work = np.empty((n, n), order="F")
+    inverse = np.empty((n, n), order="F")
+
+    def deviation() -> float | None:
+        """Inverse deviation for the matrix in ``perturbed``, or None if it diverged.
+
+        The divergence gate also rejects entries that overflowed to inf,
+        so ``drawn`` needs no entry check of its own.
+        """
+        if _divergent_radius(perturbed) is not None:
+            return None
+        try:
+            inv = leontief_inverse(drawn, out=inverse, work=work)
+        except SingularSystem:
+            return None
+        np.subtract(inv, base_inverse, out=inv)
+        return float(np.abs(inv, out=inv).sum(axis=1).max())
 
     deviations = [0.0]
-    if coefficients.n == 1:
+    if n == 1:
         for endpoint in (-epsilon, epsilon):
-            probe = np.maximum(base + endpoint, 0.0)
-            dev = _deviation(base_inverse, probe, coefficients.kind)
+            np.maximum(base + endpoint, 0.0, out=perturbed)
+            dev = deviation()
             if dev is not None:
                 deviations.append(dev)
 
     diverged = 0
     substreams = np.random.SeedSequence(seed).spawn(samples)
     for stream in substreams:
-        rng = np.random.default_rng(stream)
-        noise = rng.uniform(-epsilon, epsilon, size=base.shape)
-        dev = _deviation(base_inverse, np.maximum(base + noise, 0.0),
-                         coefficients.kind)
+        # -epsilon + 2 epsilon u, bit for bit what
+        # rng.uniform(-epsilon, epsilon, size=base.shape) draws.
+        np.random.default_rng(stream).random(out=perturbed)
+        perturbed *= 2.0 * epsilon
+        perturbed -= epsilon
+        perturbed += base
+        np.maximum(perturbed, 0.0, out=perturbed)
+        dev = deviation()
         if dev is None:
             diverged += 1
         else:

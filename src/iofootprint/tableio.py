@@ -30,9 +30,7 @@ carriage return, as every file written here with plain labels does, its
 lines are split on ``,`` directly; any other file goes through the csv
 module, which reads it the same way. Rows are converted one at a time
 into the economy's arrays, so no list of every cell exists. The read
-stays whole because choosing the reader needs the whole text, and
-because freeing it leaves the allocator in a state a later
-perturbation run depends on (see :func:`_read_rows`).
+stays whole because choosing the reader needs the whole text.
 """
 
 from __future__ import annotations
@@ -79,11 +77,7 @@ def _read_rows(path) -> Iterator[tuple[int, list[str]]]:
     spreadsheet exports pad short rows.
     """
     with open(path, "rb") as file:
-        # Read whole, not streamed: the reader choice below needs the text,
-        # and freeing one file-sized string raises glibc's dynamic mmap
-        # threshold. Streamed, the n-by-n temporaries of a later
-        # perturb_inverse are each mapped afresh, which made the perturb
-        # command markedly slower.
+        # Read whole, not streamed: the reader choice below needs the text.
         data = file.read()
     try:
         text = data.decode("utf-8")

@@ -1,3 +1,4 @@
+import logging
 import math
 import os
 import subprocess
@@ -191,6 +192,15 @@ class TestPerturb:
     def test_epsilon_required(self, table):
         assert run_command(["perturb", table]) == 2
 
+    @pytest.mark.parametrize("epsilon", ["inf", "1e308"])
+    def test_epsilon_beyond_the_float_range(self, table, capsys, epsilon):
+        assert run_command(["perturb", table, "--epsilon", epsilon]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        kind, message = captured.err.splitlines()
+        assert kind == "error.type = DomainError"
+        assert message.startswith("error.message = epsilon must be finite")
+
 
 class TestGenerate:
     def test_writes_pair(self, tmp_path, capsys):
@@ -278,6 +288,22 @@ class TestLazyScipy:
             "assert 'scipy' not in sys.modules\n", tmp_path)
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "out" / "table.csv").is_file()
+
+    @pytest.mark.parametrize("argv", [
+        ["intensity", "table.csv", "emissions.csv"],
+        ["attribute", "table.csv", "emissions.csv", "--basis", "value-added"],
+        ["perturb", "table.csv", "--epsilon", "0.01", "--samples", "5"],
+    ], ids=["intensity", "attribute-value-added", "perturb"])
+    def test_factoring_loads_no_scipy_linalg(self, tmp_path, argv):
+        (tmp_path / "table.csv").write_text(WORKED_TABLE, encoding="utf-8")
+        (tmp_path / "emissions.csv").write_text(EMISSIONS, encoding="utf-8")
+        done = self.run_python(
+            "import sys\n"
+            "from iofootprint.cli import run_command\n"
+            f"assert run_command({argv!r}) == 0\n"
+            "assert 'scipy.linalg._flapack' in sys.modules\n"
+            "assert 'scipy.linalg' not in sys.modules\n", tmp_path)
+        assert done.returncode == 0, done.stderr
 
 
 class TestReadmeQuickstart:
@@ -394,6 +420,41 @@ def test_dropping_every_sector_is_a_zero_total_error(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err[-2:] == ["error.type = ZeroTotal",
                         "error.message = all sectors have zero total output"]
+
+
+class TestDroppedSectorLines:
+    TABLE = "MU,a,b,c,D\na,0,0,0,0\nb,0,0,0,0\nc,0,0,1,1\n"
+
+    def test_dropped_sectors_are_warning_lines(self, tmp_path, capsys):
+        path = tmp_path / "zero.csv"
+        path.write_text(self.TABLE, encoding="utf-8")
+        handlers = list(logging.getLogger("iofootprint").handlers)
+        assert run_command(["validate", str(path), "--drop-zero-sectors"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "warning.type = iofootprint.economy",
+            "warning.message = dropping zero-output sectors: a, b",
+        ]
+        assert "balance.row_residuals.c = 0" in captured.out.splitlines()
+        assert logging.getLogger("iofootprint").handlers == handlers
+
+    def test_no_bare_line_in_a_subprocess(self, tmp_path):
+        # Without the handler, logging's last-resort handler prints the bare line.
+        path = tmp_path / "zero.csv"
+        path.write_text(self.TABLE, encoding="utf-8")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, env["PYTHONPATH"]] if env.get("PYTHONPATH") else [src])
+        done = subprocess.run(
+            [sys.executable, "-m", "iofootprint.cli", "validate", str(path),
+             "--drop-zero-sectors"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0
+        assert done.stderr.splitlines() == [
+            "warning.type = iofootprint.economy",
+            "warning.message = dropping zero-output sectors: a, b",
+        ]
 
 
 class TestCommandContract:

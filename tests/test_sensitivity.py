@@ -118,6 +118,19 @@ class TestPerturbInverse:
         with pytest.raises(DomainError):
             perturb_inverse(A, 0.01, -1, seed=0)
 
+    @pytest.mark.parametrize("epsilon", [math.inf, 1e308, math.nan])
+    @pytest.mark.parametrize("samples", [0, 4])
+    def test_epsilon_outside_the_float_range(self, worked_economy, epsilon, samples):
+        # 2 * epsilon is the width of the noise interval; it must be finite.
+        with pytest.raises(DomainError, match="epsilon must be"):
+            perturb_inverse(technical_coefficients(worked_economy), epsilon, samples,
+                            seed=0)
+
+    def test_largest_epsilon_whose_range_is_finite(self):
+        epsilon = np.nextafter(np.finfo(float).max / 2, 0.0)
+        report = perturb_inverse(coeff([[0.5]]), epsilon, 3, seed=0)
+        assert math.isfinite(report.amplification)
+
     def test_report_invariants(self, worked_economy):
         A = technical_coefficients(worked_economy)
         report = perturb_inverse(A, 0.02, 40, seed=1)
