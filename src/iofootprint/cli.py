@@ -70,6 +70,17 @@ def _int_in(low: int, high: int):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    """An argparse type: a finite float, zero or more."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {value}")
+    return value
+
+
+_tolerance.__name__ = "float"  # argparse names the type in its ValueError message
+
+
 def _load(args, tol_rel: float = DEFAULT_BALANCE_TOL):
     """Parse the command's table under its negative value-added and zero-total flags."""
     return parse_table(
@@ -190,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the balance identities of a table")
     p.add_argument("table")
-    p.add_argument("--tol", type=float, default=DEFAULT_BALANCE_TOL,
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_BALANCE_TOL,
                    help="relative balance tolerance (default %(default)g)")
     _add_table_options(p)
     p.set_defaults(func=_cmd_validate)
@@ -200,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("emissions")
     p.add_argument("--method", choices=["solve", "neumann"], default="solve",
                    help="linear solve or series accumulation (default %(default)s)")
-    p.add_argument("--tol", type=float, default=NEUMANN_TOL,
+    p.add_argument("--tol", type=_tolerance, default=NEUMANN_TOL,
                    help="series stopping tolerance for --method neumann "
                         "(default %(default)g)")
     _add_table_options(p)
@@ -221,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True,
                    help="entrywise perturbation bound")
     p.add_argument("--samples", type=_int_in(0, PERTURB_MAX_SAMPLES), default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_in(0, math.inf), default=0)
     _add_table_options(p)
     p.set_defaults(func=_cmd_perturb)
 
@@ -229,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write a synthetic table and emissions pair")
     p.add_argument("--n", type=_int_in(1, GENERATE_MAX_SECTORS), required=True,
                    help="sector count")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_in(0, math.inf), default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_generate)
 

@@ -60,6 +60,7 @@ from .errors import (
     ConditioningWarning,
     DimensionMismatch,
     Divergent,
+    DomainError,
     KindMismatch,
     SingularSystem,
     Truncated,
@@ -452,6 +453,8 @@ def total_intensity_neumann(direct: IntensityVector,
 
     Raises
     ------
+    DomainError
+        when ``tol`` is negative or NaN.
     Divergent
         when the spectral radius estimate of the matrix reaches one, or is
         NaN because power iteration overflowed.
@@ -459,6 +462,8 @@ def total_intensity_neumann(direct: IntensityVector,
         when ``max_terms`` is hit first; the exception carries the partial
         sum, its term count, and the relative size of the next term.
     """
+    if not tol >= 0:
+        raise DomainError(f"tol must be nonnegative, got {tol!r}")
     _require_operands(direct, technical, CoefficientKind.TECHNICAL,
                       "series total intensity")
     rho = _divergent_radius(technical.values)

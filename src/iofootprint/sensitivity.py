@@ -87,7 +87,7 @@ def perturb_inverse(coefficients: CoefficientMatrix, epsilon: float,
     Raises :class:`Divergent` when the baseline matrix itself is already
     outside the convergent regime, and :class:`DomainError` for a
     nonpositive ``epsilon``, one whose noise range ``2 * epsilon`` is not
-    finite, or negative ``samples``.
+    finite, or a negative ``samples`` or ``seed``.
     """
     if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
@@ -97,6 +97,8 @@ def perturb_inverse(coefficients: CoefficientMatrix, epsilon: float,
         )
     if samples < 0:
         raise DomainError(f"samples must be nonnegative, got {samples!r}")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed!r}")
     base = coefficients.values
     rho = _divergent_radius(base)
     if rho is not None:

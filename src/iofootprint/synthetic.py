@@ -38,6 +38,8 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"sector count must be at least 1, got {self.n}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed!r}")
         if not 0.0 < self.column_sum_cap < 1.0:
             raise DomainError(
                 f"column_sum_cap must lie strictly in (0, 1), "

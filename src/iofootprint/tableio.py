@@ -68,6 +68,47 @@ RESERVED_LABELS = frozenset({"D", "T", "V"})
 TOTAL_CROSS_CHECK_TOL = 1e-9
 
 
+def _check_labels(sectors, unit_kind: str = "", unit: str = "",
+                  lineno: int | None = None) -> None:
+    """Raise unless a file carries the unit and every sector label unchanged.
+
+    This is the table format's one label rule: :func:`parse_table` applies
+    it to a header's sector cells, and each writer before a file opens.
+    The readers strip labels and drop a row's blank last cells, so a padded
+    unit or label, an empty emission unit (its header row's last cell) and
+    an empty or reserved sector label are each a :class:`ParseError`, and a
+    repeated label is a :class:`DuplicateSector`. ``lineno`` is the line of
+    a header being read.
+    """
+    if unit != unit.strip():
+        raise _padded(unit_kind, unit)
+    if unit_kind == "emission unit" and not unit:
+        raise ParseError("emission unit is empty; an emission header "
+                         "must declare the unit in its second cell")
+    where = "" if lineno is None else f"line {lineno}: "
+    seen = set()
+    for j, label in enumerate(sectors):
+        if label != label.strip():
+            raise _padded("sector label", label)
+        if label in RESERVED_LABELS:
+            raise ParseError(
+                f"{where}{label!r} is a reserved label and cannot name a sector",
+                line=lineno, column=2 + j,
+            )
+        if not label:
+            raise ParseError(f"{where}empty sector name", line=lineno, column=2 + j)
+        if label in seen:
+            raise DuplicateSector(f"{where}duplicate sector {label!r}")
+        seen.add(label)
+
+
+def _padded(kind: str, label: str) -> ParseError:
+    return ParseError(
+        f"{kind} {label!r} has leading or trailing whitespace, "
+        "which a reader would strip"
+    )
+
+
 def _read_rows(path) -> Iterator[tuple[int, list[str]]]:
     """Non-empty rows with the 1-based file line each starts on.
 
@@ -222,21 +263,7 @@ def parse_table(path, *, tol_rel: float = DEFAULT_BALANCE_TOL,
             line=lineno,
         )
     has_total_column = trailing == ["T"]
-    seen = set()
-    for j, label in enumerate(sectors):
-        if label in RESERVED_LABELS:
-            raise ParseError(
-                f"line {lineno}: {label!r} is a reserved label and cannot "
-                "name a sector",
-                line=lineno, column=2 + j,
-            )
-        if not label:
-            raise ParseError(
-                f"line {lineno}: empty sector name", line=lineno, column=2 + j
-            )
-        if label in seen:
-            raise DuplicateSector(f"line {lineno}: duplicate sector {label!r}")
-        seen.add(label)
+    _check_labels(sectors, lineno=lineno)
 
     n = len(sectors)
     width = 1 + n + 1 + (1 if has_total_column else 0)
@@ -308,60 +335,37 @@ def parse_table(path, *, tol_rel: float = DEFAULT_BALANCE_TOL,
     )
 
 
-def _csv_line(cells) -> str:
-    """``cells`` in the csv module's quoting, as one newline-terminated line.
+def _cell(text: str) -> str:
+    r"""``text`` as one cell, quoted as the csv module quotes it under ``"\r\n"``.
 
-    ``_csv_line([label, ""])[:-1]`` is a row's label cell and its
-    delimiter, ready for the numeric cells, which never need quoting.
-    Formatting the label under the line terminator is what makes the csv
-    module quote a label that contains a line break.
+    A cell holding a comma, a quote, ``"\n"`` or ``"\r"`` is quoted, with
+    its quotes doubled; any other cell is written as it is.
     """
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow(cells)
-    return out.getvalue()
-
-
-def _float_cells(count: int) -> str:
-    """A ``%`` template formatting ``count`` floats as comma-separated cells."""
-    return ",".join([FLOAT_SPEC] * count)
-
-
-def _check_unpadded(econ: Economy, unit_kind: str, unit: str) -> None:
-    """Raise :class:`ParseError` for a label or unit with surrounding whitespace.
-
-    The readers strip label and header cells, so such a label would come
-    back changed; this is their rule, :meth:`str.strip`, applied before
-    anything is written.
-    """
-    labels = [(unit_kind, unit)] + [("sector label", s) for s in econ.sectors]
-    for kind, label in labels:
-        if label != label.strip():
-            raise ParseError(
-                f"{kind} {label!r} has leading or trailing whitespace, "
-                "which a reader would strip"
-            )
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _table_lines(econ: Economy) -> Iterator[str]:
-    yield _csv_line([econ.money_unit, *econ.sectors, "D", "T"])
-    sector_row = _float_cells(econ.n + 2)
+    yield ",".join(map(_cell, [econ.money_unit, *econ.sectors, "D", "T"])) + "\n"
+    vector_row = ",".join([FLOAT_SPEC] * econ.n)
+    sector_row = f"{vector_row},{FLOAT_SPEC},{FLOAT_SPEC}"
     for i, label in enumerate(econ.sectors):
         row = econ.transactions[i].tolist()
         row += (econ.demand[i], econ.totals[i])
-        yield f"{_csv_line([label, ''])[:-1]}{sector_row % tuple(row)}\n"
-    vector_row = _float_cells(econ.n)
+        yield f"{_cell(label)},{sector_row % tuple(row)}\n"
     for label, values in (("V", econ.value_added), ("T", econ.totals)):
         yield f"{label},{vector_row % tuple(values.tolist())},,\n"
 
 
 def serialize_table(econ: Economy) -> str:
     """Render an economy in the table layout, exactly re-parseable."""
-    _check_unpadded(econ, "money unit", econ.money_unit)
+    _check_labels(econ.sectors, "money unit", econ.money_unit)
     return "".join(_table_lines(econ))
 
 
 def write_table(econ: Economy, path) -> None:
-    _check_unpadded(econ, "money unit", econ.money_unit)  # before the file opens
+    _check_labels(econ.sectors, "money unit", econ.money_unit)  # before the file opens
     with open(path, "w", encoding="utf-8") as out:
         out.writelines(_table_lines(econ))
 
@@ -420,9 +424,9 @@ def _emission_lines(account: EmissionAccount, econ: Economy) -> list[str]:
             f"account has {account.emissions.shape[0]} entries, "
             f"economy has {econ.n} sectors"
         )
-    _check_unpadded(econ, "emission unit", account.emission_unit)
-    return [_csv_line(["sector", account.emission_unit])] + [
-        f"{_csv_line([label, ''])[:-1]}{FLOAT_SPEC % value}\n"
+    _check_labels(econ.sectors, "emission unit", account.emission_unit)
+    return [f"sector,{_cell(account.emission_unit)}\n"] + [
+        f"{_cell(label)},{FLOAT_SPEC % value}\n"
         for label, value in zip(econ.sectors, account.emissions.tolist())
     ]
 

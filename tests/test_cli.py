@@ -240,6 +240,52 @@ class TestSizeBounds:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestSeedAndToleranceRanges:
+    """``--seed`` is any int from 0 up; ``--tol`` any finite float from 0 up."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["perturb", "TABLE", "--epsilon", "0.01", "--seed", "-1"],
+         "argument --seed: must lie in 0..inf, got -1"),
+        (["generate", "--n", "3", "--seed", "-1", "--out", "OUT"],
+         "argument --seed: must lie in 0..inf, got -1"),
+        (["validate", "TABLE", "--tol", "nan"],
+         "argument --tol: must be finite and at least 0, got nan"),
+        (["validate", "TABLE", "--tol", "inf"],
+         "argument --tol: must be finite and at least 0, got inf"),
+        (["intensity", "TABLE", "EMISSIONS", "--method", "neumann", "--tol", "-1"],
+         "argument --tol: must be finite and at least 0, got -1.0"),
+        (["intensity", "TABLE", "EMISSIONS", "--tol=-inf"],
+         "argument --tol: must be finite and at least 0, got -inf"),
+        (["validate", "TABLE", "--tol", "tight"],
+         "argument --tol: invalid float value: 'tight'"),
+    ], ids=["perturb-seed", "generate-seed", "validate-nan", "validate-inf",
+            "neumann-negative", "intensity-negative-inf", "not-a-number"])
+    def test_out_of_range_is_usage_error(self, argv, message, table, emissions,
+                                         tmp_path, capsys):
+        paths = {"TABLE": table, "EMISSIONS": emissions, "OUT": str(tmp_path / "out")}
+        assert run_command([paths.get(arg, arg) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: iofootprint ")
+        assert captured.err.endswith(f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_large_seeds_and_zero_tolerances_run(self, table, emissions,
+                                                 tmp_path, capsys):
+        seed = str(2**70)
+        assert run_command(["perturb", table, "--epsilon", "0.01", "--samples", "2",
+                            "--seed", seed]) == 0
+        assert report_lines(capsys)["perturbation.seed"] == seed
+        assert run_command(["generate", "--n", "3", "--seed", seed,
+                            "--out", str(tmp_path / "out")]) == 0
+        assert report_lines(capsys)["generate.seed"] == seed
+        assert run_command(["validate", table, "--tol", "0"]) == 0
+        assert report_lines(capsys)["balance.ok"] == "true"
+        assert run_command(["intensity", table, emissions, "--method", "neumann",
+                            "--tol", "0"]) == 0
+        assert int(report_lines(capsys)["intensity.terms"]) > 1
+
+
 class TestOverflowingTable:
     @pytest.mark.parametrize("text", [
         "MU,a,b,D\na,1e308,1e308,1\nb,1,1,1\n",

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from iofootprint import (
     CoefficientMatrix,
     DimensionMismatch,
     Divergent,
+    DomainError,
     Economy,
     EmissionAccount,
     IntensityKind,
@@ -199,6 +201,13 @@ class TestTotalIntensity:
 
 
 class TestNeumannSeries:
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf])
+    def test_tolerance_outside_its_range_is_a_domain_error(self, tol):
+        F = IntensityVector(IntensityKind.DIRECT, [0.1])
+        divergent = CoefficientMatrix(CoefficientKind.TECHNICAL, [[1.0]])
+        with pytest.raises(DomainError, match="tol must be nonnegative"):
+            total_intensity_neumann(F, divergent, tol=tol)  # checked first
+
     def test_zero_matrix_one_term(self):
         F = IntensityVector(IntensityKind.DIRECT, [0.3, 0.7])
         A = CoefficientMatrix(CoefficientKind.TECHNICAL, np.zeros((2, 2)))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import warnings
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from iofootprint import (
     ConditioningWarning,
+    Economy,
     EmissionAccount,
     FootprintError,
     GeneratorConfig,
@@ -27,6 +30,7 @@ from iofootprint import (
     total_intensity,
     total_intensity_neumann,
 )
+from iofootprint.cli import run_command
 
 economies = st.builds(
     GeneratorConfig,
@@ -219,3 +223,36 @@ def test_adversarial_magnitudes_end_in_a_result_or_a_typed_error(case):
         if systemic is not None:
             _typed(lambda: attribute_to_value_added(systemic, econ.value_added,
                                                     account))
+
+
+def _run(argv) -> tuple[int, str, str]:
+    """``run_command(argv)``'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(adversarial_economies(), st.integers(min_value=-12, max_value=-1))
+def test_adversarial_table_files_end_in_a_report_or_a_typed_error(
+        tmp_path_factory, case, epsilon_exponent):
+    """``validate`` and ``perturb`` on a written table: exit 0, or exit 1 with ``error.*``."""
+    (sectors, transactions, demand), _ = case
+    with np.errstate(all="ignore"):
+        totals = transactions.sum(axis=1) + demand
+        value_added = totals - transactions.sum(axis=0)
+    table = tmp_path_factory.mktemp("adversarial") / "table.csv"
+    table.write_text(serialize_table(
+        Economy(sectors, transactions, demand, value_added, totals, "MU")),
+        encoding="utf-8")
+    for argv in (["validate", str(table)],
+                 ["perturb", str(table), "--epsilon", f"1e{epsilon_exponent}",
+                  "--samples", "3"]):
+        code, out, err = _run(argv)
+        if code == 0:
+            assert out and "error." not in err
+        else:
+            assert code == 1
+            assert "error.type = " in err and not out
+        assert "RuntimeWarning" not in err

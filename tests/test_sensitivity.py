@@ -118,6 +118,13 @@ class TestPerturbInverse:
         with pytest.raises(DomainError):
             perturb_inverse(A, 0.01, -1, seed=0)
 
+    @pytest.mark.parametrize("samples", [0, 4])
+    def test_negative_seed_is_a_domain_error(self, worked_economy, samples):
+        A = technical_coefficients(worked_economy)
+        with pytest.raises(DomainError, match="seed must be nonnegative, got -1"):
+            perturb_inverse(A, 0.01, samples, seed=-1)
+        assert perturb_inverse(A, 0.01, samples, seed=2**70).seed == 2**70
+
     @pytest.mark.parametrize("epsilon", [math.inf, 1e308, math.nan])
     @pytest.mark.parametrize("samples", [0, 4])
     def test_epsilon_outside_the_float_range(self, worked_economy, epsilon, samples):

@@ -18,6 +18,12 @@ from iofootprint import (
 
 
 class TestGeneratorConfig:
+    def test_negative_seed_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="seed must be nonnegative, got -1"):
+            GeneratorConfig(n=3, seed=-1)
+        econ, _ = generate_economy(GeneratorConfig(n=3, seed=2**70))
+        assert econ.n == 3
+
     def test_validation(self):
         with pytest.raises(DomainError):
             GeneratorConfig(n=0, seed=1)

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from iofootprint import (
     DuplicateSector,
     Economy,
     EmissionAccount,
+    FootprintError,
     GeneratorConfig,
     ImbalancedTable,
     MissingSector,
@@ -749,3 +751,142 @@ class TestPaddedLabels:
         parsed = parse_table(tmp_path / "t.csv")
         assert (parsed.sectors, parsed.money_unit) == (econ.sectors, "M U")
         assert parse_emissions(tmp_path / "e.csv", parsed).emission_unit == "kt CO2"
+
+
+def crlf_reference_line(cells):
+    """``cells`` as the csv module writes them under ``"\\r\\n"``, ended by ``"\\n"``."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\r\n").writerow(cells)
+    return out.getvalue()[:-2] + "\n"
+
+
+# Labels and units built from the characters the label rule has to decide on.
+label_texts = st.one_of(
+    st.sampled_from(["", "D", "T", "V", "a"]),
+    st.text(st.sampled_from([",", '"', "\r", "\n", " ", "\xa0", "\x1c", "a", "D"]),
+            max_size=4),
+)
+
+
+def carried(sectors, unit, unit_may_be_empty):
+    """Whether a file can carry ``unit`` and ``sectors`` unchanged."""
+    return (all(label == label.strip() for label in (unit, *sectors))
+            and (bool(unit) or unit_may_be_empty)
+            and all(label and label not in {"D", "T", "V"} for label in sectors)
+            and len(set(sectors)) == len(sectors))
+
+
+class TestOneLabelRule:
+    """Each writer refuses what the readers cannot carry, before a file opens,
+    and writes everything else so that it reads back unchanged."""
+
+    @staticmethod
+    def economy(sectors, money_unit="MU"):
+        base, _ = generate_economy(GeneratorConfig(n=len(sectors), seed=5))
+        return Economy(sectors, base.transactions, base.demand, base.value_added,
+                       base.totals, money_unit)
+
+    @staticmethod
+    def refusal(write, path):
+        """The FootprintError ``write(path)`` raises, or None; a refusal leaves no file."""
+        try:
+            write(path)
+        except FootprintError as err:
+            assert not path.exists()
+            return err
+        return None
+
+    def check_table(self, econ, path):
+        """Refused as the rule says, or written, read back unchanged and returned None."""
+        err = self.refusal(lambda p: write_table(econ, p), path)
+        assert (err is None) == carried(econ.sectors, econ.money_unit, True)
+        if err is not None:
+            with pytest.raises(type(err), match=re.escape(str(err))):
+                serialize_table(econ)
+            return err
+        text = serialize_table(econ)
+        assert path.read_bytes() == text.encode()
+        assert text.startswith(
+            crlf_reference_line([econ.money_unit, *econ.sectors, "D", "T"]))
+        parsed = parse_table(path)
+        assert (parsed.sectors, parsed.money_unit) == (econ.sectors, econ.money_unit)
+        assert economy_bytes(parsed) == economy_bytes(econ)
+
+    def check_emissions(self, account, econ, path):
+        """Refused as the rule says, or written, read back unchanged and returned None."""
+        err = self.refusal(lambda p: write_emissions(account, econ, p), path)
+        assert (err is None) == carried(econ.sectors, account.emission_unit, False)
+        if err is not None:
+            with pytest.raises(type(err), match=re.escape(str(err))):
+                serialize_emissions(account, econ)
+            return err
+        text = serialize_emissions(account, econ)
+        assert path.read_bytes() == text.encode()
+        assert text.startswith(crlf_reference_line(["sector", account.emission_unit]))
+        parsed = parse_emissions(path, econ)
+        assert parsed.emission_unit == account.emission_unit
+        assert parsed.emissions.tobytes() == account.emissions.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(sectors=st.lists(label_texts, min_size=1, max_size=4),
+           money_unit=label_texts, emission_unit=label_texts)
+    def test_writers_refuse_or_round_trip(self, tmp_path_factory, sectors,
+                                          money_unit, emission_unit):
+        directory = tmp_path_factory.mktemp("labels")
+        econ = self.economy(sectors, money_unit)
+        account = EmissionAccount(np.arange(1.0, econ.n + 1), emission_unit)
+        self.check_table(econ, directory / "t.csv")
+        self.check_emissions(account, econ, directory / "e.csv")
+
+    @pytest.mark.parametrize("sectors, money_unit", [
+        (("a\rb", "c"), "MU"), (("a", "b"), "M\rU"), (("a\r\nb", '"\r,'), "M\r\rU"),
+    ], ids=["sector", "money-unit", "mixed"])
+    def test_carriage_return_is_quoted_and_reads_back(self, tmp_path, sectors,
+                                                      money_unit):
+        econ = self.economy(sectors, money_unit)
+        assert self.check_table(econ, tmp_path / "t.csv") is None
+        account = EmissionAccount([1.0, 2.0], "kt\rCO2")
+        assert self.check_emissions(account, econ, tmp_path / "e.csv") is None
+        assert '"kt\rCO2"' in serialize_emissions(account, econ)
+
+    @pytest.mark.parametrize("reserved", ["D", "T", "V"])
+    def test_reserved_sector_is_refused(self, tmp_path, reserved):
+        econ = self.economy(("a", reserved))
+        account = EmissionAccount([1.0, 2.0], "kt")
+        message = f"{reserved!r} is a reserved label and cannot name a sector"
+        for write_out in (lambda: write_table(econ, tmp_path / "t.csv"),
+                          lambda: serialize_table(econ),
+                          lambda: write_emissions(account, econ, tmp_path / "e.csv"),
+                          lambda: serialize_emissions(account, econ)):
+            with pytest.raises(ParseError) as exc:
+                write_out()
+            assert str(exc.value) == message
+        assert list(tmp_path.iterdir()) == []
+
+    def test_repeated_sector_is_refused(self, tmp_path):
+        econ = self.economy(("a", "a"))
+        for write_out in (lambda: write_table(econ, tmp_path / "t.csv"),
+                          lambda: serialize_table(econ)):
+            with pytest.raises(DuplicateSector, match="duplicate sector 'a'"):
+                write_out()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_default_emission_unit_is_refused(self, tmp_path):
+        econ = self.economy(("a", "b"))
+        account = EmissionAccount([1.0, 2.0])  # the default unit is empty
+        with pytest.raises(ParseError, match="emission unit is empty"):
+            write_emissions(account, econ, tmp_path / "e.csv")
+        with pytest.raises(ParseError, match="emission unit is empty"):
+            serialize_emissions(account, econ)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_reader_messages_name_the_header_line(self, tmp_path):
+        for text, error, message in [
+            (",a,V,D\na,1,1,1\nV,1,1,1\n", ParseError,
+             "line 1: 'V' is a reserved label and cannot name a sector"),
+            ('MU,a,"",D\n', ParseError, "line 1: empty sector name"),
+            ("\nMU,a,a,D\n", DuplicateSector, "line 2: duplicate sector 'a'"),
+        ]:
+            with pytest.raises(error) as exc:
+                parse_table(write(tmp_path, "t.csv", text))
+            assert str(exc.value) == message
