@@ -50,9 +50,9 @@ from .tableio import parse_emissions, parse_table, write_emissions, write_table
 ATTRIBUTION_RESIDUAL_LIMIT = 1e-8
 
 # Bounds on user-controlled sizes. Generation holds several n x n float
-# arrays and their 17-digit text at once, and perturbation spawns every
-# sample's RNG substream up front; values outside these ranges are usage
-# errors, rejected before anything is allocated.
+# arrays at once (the table file is written one row at a time), and
+# perturbation spawns every sample's RNG substream up front; values outside
+# these ranges are usage errors, rejected before anything is allocated.
 GENERATE_MAX_SECTORS = 5000
 PERTURB_MAX_SAMPLES = 100_000
 
@@ -249,8 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write_warning(kind: str, message) -> None:
     """Write a warning as report lines, in the style of ``error.*``."""
-    sys.stderr.write(f"warning.type = {kind}\n")
-    sys.stderr.write(f"warning.message = {message}\n")
+    sys.stderr.write(render({"warning": {"type": kind, "message": str(message)}}))
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None):
@@ -281,8 +280,7 @@ def run_command(argv) -> int:
             sys.stdout.write(render(tree))
         except (FootprintError, OSError) as err:
             kind = "FileError" if isinstance(err, OSError) else type(err).__name__
-            sys.stderr.write(f"error.type = {kind}\n")
-            sys.stderr.write(f"error.message = {err}\n")
+            sys.stderr.write(render({"error": {"type": kind, "message": str(err)}}))
             return 1
         finally:
             package_logger.removeHandler(handler)

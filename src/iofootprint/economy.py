@@ -187,42 +187,46 @@ def build_economy(sectors, transactions, demand, value_added=None, totals=None,
 
     Sectors with zero total output cannot be normalized; by default they
     raise :class:`ZeroTotal` naming the sector. ``on_zero_total="drop"``
-    removes them (the drop is logged as a warning) and revalidates the
-    reduced table.
+    removes them, logging one warning, and runs every step above again on
+    the kept rows and columns (and the kept supplied totals and value
+    added), so the reduced table takes every check of a whole table. A
+    sector whose output falls to zero with a removal is dropped on that
+    next pass, with a warning of its own; :class:`ZeroTotal` is raised
+    when no sector is left.
 
     Value added may legitimately be negative in published tables; pass
     ``allow_negative_value_added=True`` to accept that. Transactions,
     demand, and totals must always be nonnegative and finite.
     """
-    labels = _check_sector_labels(sectors)
-    n = len(labels)
-    if on_zero_total not in (ZERO_TOTAL_ERROR, ZERO_TOTAL_DROP):
-        raise ValueError(f"unknown zero-total policy {on_zero_total!r}")
+    while True:  # once, and again on the kept sectors after each removal
+        labels = _check_sector_labels(sectors)
+        n = len(labels)
+        if on_zero_total not in (ZERO_TOTAL_ERROR, ZERO_TOTAL_DROP):
+            raise ValueError(f"unknown zero-total policy {on_zero_total!r}")
 
-    C = np.array(transactions, dtype=float)
-    D = np.array(demand, dtype=float)
-    _check_shape(C, (n, n), "transaction matrix")
-    _check_shape(D, (n,), "demand")
-    _check_entries(C, "transaction")
-    _check_entries(D, "demand")
+        C = np.array(transactions, dtype=float)
+        D = np.array(demand, dtype=float)
+        _check_shape(C, (n, n), "transaction matrix")
+        _check_shape(D, (n,), "demand")
+        _check_entries(C, "transaction")
+        _check_entries(D, "demand")
 
-    totals_supplied = totals is not None
-    value_added_supplied = value_added is not None
-    if totals_supplied:
-        T = np.array(totals, dtype=float)
-        _check_shape(T, (n,), "totals")
-        _check_entries(T, "totals")
-    else:
-        T = C.sum(axis=1) + D
-    if value_added_supplied:
-        V = np.array(value_added, dtype=float)
-        _check_shape(V, (n,), "value added")
-        _check_entries(V, "value added", nonnegative=False)
-    else:
-        V = T - C.sum(axis=0)
+        if totals is not None:
+            T = np.array(totals, dtype=float)
+            _check_shape(T, (n,), "totals")
+            _check_entries(T, "totals")
+        else:
+            T = C.sum(axis=1) + D
+        if value_added is not None:
+            V = np.array(value_added, dtype=float)
+            _check_shape(V, (n,), "value added")
+            _check_entries(V, "value added", nonnegative=False)
+        else:
+            V = T - C.sum(axis=0)
 
-    zero = T <= 0
-    if zero.any():
+        zero = T <= 0
+        if not zero.any():
+            break
         names = [labels[i] for i in np.flatnonzero(zero)]
         if on_zero_total == ZERO_TOTAL_ERROR:
             raise ZeroTotal(
@@ -232,15 +236,12 @@ def build_economy(sectors, transactions, demand, value_added=None, totals=None,
             )
         logger.warning("dropping zero-output sectors: %s", ", ".join(names))
         keep = np.flatnonzero(~zero)
-        labels = tuple(labels[i] for i in keep)
-        if not labels:
+        if not keep.size:
             raise ZeroTotal("all sectors have zero total output")
-        C = C[np.ix_(keep, keep)]
-        D, V, T = D[keep], V[keep], T[keep]
-        if not totals_supplied:
-            T = C.sum(axis=1) + D
-        if not value_added_supplied:
-            V = T - C.sum(axis=0)
+        sectors = [labels[i] for i in keep]
+        transactions, demand = C[np.ix_(keep, keep)], D[keep]
+        value_added = None if value_added is None else V[keep]
+        totals = None if totals is None else T[keep]
 
     if (V < 0).any() and not allow_negative_value_added:
         i = int(np.argmax(V < 0))

@@ -4,6 +4,9 @@ Reports are flat ``key = value`` lines. Nested mappings join their keys
 with dots, floats are written with 17 significant digits (so parsing the
 text back reproduces the exact binary value), booleans as ``true`` and
 ``false``. Key order follows insertion order and is part of the contract.
+A line break in a key or a text value is written as the escape ``\n`` or
+``\r``, so each entry stays on one line; every other character is
+written as it is. This module is the one place that writes report lines.
 """
 
 from __future__ import annotations
@@ -32,15 +35,21 @@ def format_value(value) -> str:
     return str(value)
 
 
+def _one_line(text: str) -> str:
+    r"""``text`` with ``"\n"`` and ``"\r"`` written as the escapes ``\n`` and ``\r``."""
+    return text.replace("\n", "\\n").replace("\r", "\\r")
+
+
 def flatten(tree: dict, prefix: str = "") -> list[str]:
-    """Flatten a nested mapping into ``key = value`` lines."""
+    """Flatten a nested mapping into ``key = value`` lines, one line each."""
     lines = []
     for key, value in tree.items():
-        path = f"{prefix}.{key}" if prefix else str(key)
+        key = _one_line(str(key))
+        path = f"{prefix}.{key}" if prefix else key
         if isinstance(value, dict):
             lines.extend(flatten(value, path))
         else:
-            lines.append(f"{path} = {format_value(value)}")
+            lines.append(f"{path} = {_one_line(format_value(value))}")
     return lines
 
 

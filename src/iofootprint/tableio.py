@@ -74,22 +74,23 @@ def _check_labels(sectors, unit_kind: str = "", unit: str = "",
 
     This is the table format's one label rule: :func:`parse_table` applies
     it to a header's sector cells, and each writer before a file opens.
-    The readers strip labels and drop a row's blank last cells, so a padded
-    unit or label, an empty emission unit (its header row's last cell) and
-    an empty or reserved sector label are each a :class:`ParseError`, and a
-    repeated label is a :class:`DuplicateSector`. ``lineno`` is the line of
-    a header being read.
+    The readers strip labels and drop a row's blank last cells, and files
+    are UTF-8, so a padded unit or label, one that UTF-8 cannot encode (a
+    lone surrogate), an empty emission unit (its header row's last cell),
+    an empty sector list and an empty or reserved sector label are each a
+    :class:`ParseError`, and a repeated label is a :class:`DuplicateSector`.
+    ``lineno`` is the line of a header being read.
     """
-    if unit != unit.strip():
-        raise _padded(unit_kind, unit)
+    _check_cell(unit_kind, unit)
     if unit_kind == "emission unit" and not unit:
         raise ParseError("emission unit is empty; an emission header "
                          "must declare the unit in its second cell")
+    if not sectors:
+        raise ParseError("a table file needs at least one sector")
     where = "" if lineno is None else f"line {lineno}: "
     seen = set()
     for j, label in enumerate(sectors):
-        if label != label.strip():
-            raise _padded("sector label", label)
+        _check_cell("sector label", label)
         if label in RESERVED_LABELS:
             raise ParseError(
                 f"{where}{label!r} is a reserved label and cannot name a sector",
@@ -102,11 +103,15 @@ def _check_labels(sectors, unit_kind: str = "", unit: str = "",
         seen.add(label)
 
 
-def _padded(kind: str, label: str) -> ParseError:
-    return ParseError(
-        f"{kind} {label!r} has leading or trailing whitespace, "
-        "which a reader would strip"
-    )
+def _check_cell(kind: str, text: str) -> None:
+    """Raise :class:`ParseError` unless a reader gets ``text`` back from its cell."""
+    if text != text.strip():
+        raise ParseError(f"{kind} {text!r} has leading or trailing whitespace, "
+                         "which a reader would strip")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ParseError(f"{kind} {text!r} cannot be written as UTF-8") from None
 
 
 def _read_rows(path) -> Iterator[tuple[int, list[str]]]:

@@ -27,7 +27,9 @@ from iofootprint import (
     total_intensity_neumann,
     validate_balance,
 )
+from iofootprint import Economy, EmissionAccount
 from iofootprint.cli import run_command
+from iofootprint.tableio import write_emissions, write_table
 
 WORKED_TABLE = """\
 MU,s1,s2,D,T
@@ -601,3 +603,84 @@ class TestCommandContract:
         assert (out / "table.csv").read_text(encoding="utf-8") == serialize_table(econ)
         assert ((out / "emissions.csv").read_text(encoding="utf-8")
                 == serialize_emissions(account, econ))
+
+
+class TestOneLineEntries:
+    """Every report entry is one line, whatever its labels, units and messages hold."""
+
+    # The labels and units of test_tableio's TestLabelsWithSpecialCharacters.
+    LABELS = ("A\nB", "C", "d,e", 'say "hi"', 'all\n, "three"')
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        base, _ = generate_economy(GeneratorConfig(n=len(self.LABELS), seed=11))
+        econ = Economy(self.LABELS, base.transactions, base.demand,
+                       base.value_added, base.totals, money_unit='M\n,"U"')
+        account = EmissionAccount(np.arange(1.0, econ.n + 1),
+                                  emission_unit='kt\n"CO2", e')
+        table, emissions = tmp_path / "table.csv", tmp_path / "emissions.csv"
+        write_table(econ, table)
+        write_emissions(account, econ, emissions)
+        return str(table), str(emissions)
+
+    @pytest.mark.parametrize("options", [
+        ["validate"], ["intensity"], ["intensity", "--method", "neumann"],
+        ["attribute"], ["attribute", "--basis", "value-added"],
+    ])
+    def test_every_line_holds_one_separator(self, files, capsys, options):
+        table, emissions = files
+        argv = [options[0], table] + ([] if options[0] == "validate" else [emissions])
+        assert run_command(argv + options[1:]) == 0
+        captured = capsys.readouterr()
+        lines = (captured.out + captured.err).split("\n")
+        assert lines.pop() == ""
+        assert [line for line in lines if line.count(" = ") != 1] == []
+
+    def test_line_breaks_print_as_escapes(self, files, capsys):
+        table, emissions = files
+        assert run_command(["intensity", table, emissions]) == 0
+        out = capsys.readouterr().out.split("\n")
+        assert 'intensity.emission_unit = kt\\n"CO2", e' in out
+        assert 'intensity.money_unit = M\\n,"U"' in out
+        assert [line.split(" = ")[0] for line in out if ".direct." in line] == [
+            "intensity.direct.A\\nB", "intensity.direct.C", "intensity.direct.d,e",
+            'intensity.direct.say "hi"', 'intensity.direct.all\\n, "three"',
+        ]
+
+    def test_warning_message_stays_on_one_line(self, tmp_path, capsys):
+        path = tmp_path / "zero.csv"
+        path.write_text('MU,"x\ny",c,D\n"x\ny",0,0,0\nc,0,1,1\n', encoding="utf-8")
+        assert run_command(["validate", str(path), "--drop-zero-sectors"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "warning.type = iofootprint.economy",
+            "warning.message = dropping zero-output sectors: x\\ny",
+        ]
+        assert [line.split(" = ")[0] for line in captured.out.splitlines()] == [
+            "balance.ok", "balance.max_residual",
+            "balance.row_residuals.c", "balance.col_residuals.c",
+        ]
+
+
+class TestDropPassesInTheCli:
+    # b sells only to a, so b's output falls to zero once a is dropped.
+    TABLE = "MU,a,b,c,D\na,0,0,0,0\nb,5,0,0,0\nc,0,0,1,4\n"
+
+    @pytest.mark.parametrize("extra", [[], ["--allow-negative-v"]])
+    def test_cascade_reports_the_kept_sector(self, tmp_path, capsys, extra):
+        path = tmp_path / "cascade.csv"
+        path.write_text(self.TABLE, encoding="utf-8")
+        assert run_command(["validate", str(path), "--drop-zero-sectors"] + extra) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "balance.ok = true",
+            "balance.max_residual = 0",
+            "balance.row_residuals.c = 0",
+            "balance.col_residuals.c = 0",
+        ]
+        assert captured.err.splitlines() == [
+            "warning.type = iofootprint.economy",
+            "warning.message = dropping zero-output sectors: a",
+            "warning.type = iofootprint.economy",
+            "warning.message = dropping zero-output sectors: b",
+        ]

@@ -18,6 +18,7 @@ from iofootprint import (
     technical_coefficients,
     validate_balance,
 )
+from iofootprint import GeneratorConfig, generate_economy
 from iofootprint.economy import ZERO_TOTAL_DROP
 
 
@@ -257,3 +258,71 @@ def test_overflowing_emission_total_is_a_typed_error():
     account = EmissionAccount([1e308, 1e308])
     with pytest.raises(NegativeEntry, match="^emission total overflows"):
         account.total
+
+
+class TestDropPasses:
+    """A removal can leave a sector with zero output; the next pass drops it."""
+
+    # b sells only to a, so b's output falls to zero once a is dropped.
+    CASCADE = (["a", "b", "c"], [[0.0, 0.0, 0.0], [5.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+               [0.0, 0.0, 4.0])
+
+    @pytest.mark.parametrize("allow_negative", [False, True])
+    def test_cascade_is_dropped_pass_by_pass(self, caplog, allow_negative):
+        with caplog.at_level(logging.WARNING, logger="iofootprint.economy"):
+            econ = build_economy(*self.CASCADE, on_zero_total=ZERO_TOTAL_DROP,
+                                 allow_negative_value_added=allow_negative)
+        assert econ.sectors == ("c",)
+        assert econ.totals.tolist() == [5.0]
+        assert econ.value_added.tolist() == [4.0]
+        assert [r.getMessage() for r in caplog.records] == [
+            "dropping zero-output sectors: a",
+            "dropping zero-output sectors: b",
+        ]
+
+    def test_cascade_that_removes_every_sector(self, caplog):
+        with pytest.raises(ZeroTotal, match="^all sectors have zero total output$"):
+            with caplog.at_level(logging.WARNING, logger="iofootprint.economy"):
+                build_economy(["a", "b"], [[0.0, 0.0], [5.0, 0.0]], [0.0, 0.0],
+                              on_zero_total=ZERO_TOTAL_DROP,
+                              allow_negative_value_added=True)
+        assert len(caplog.records) == 2
+
+    def test_long_cascade_ends_in_a_typed_error(self, caplog):
+        # Sector k sells only to sector k - 1: each pass drops one sector.
+        n = 600
+        C = np.zeros((n, n))
+        C[np.arange(1, n), np.arange(n - 1)] = 1.0
+        with pytest.raises(ZeroTotal, match="^all sectors have zero total output$"):
+            with caplog.at_level(logging.WARNING, logger="iofootprint.economy"):
+                build_economy([f"s{k}" for k in range(n)], C, np.zeros(n),
+                              on_zero_total=ZERO_TOTAL_DROP,
+                              allow_negative_value_added=True)
+        assert len(caplog.records) == n
+
+    @staticmethod
+    def assert_same_arrays(econ, expected):
+        assert econ.sectors == expected.sectors
+        for name in ("transactions", "demand", "value_added", "totals"):
+            assert getattr(econ, name).tobytes() == getattr(expected, name).tobytes()
+
+    def test_live_dead_drop_is_the_kept_table(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="iofootprint.economy"):
+            econ = build_economy(["live", "dead"], [[10.0, 0.0], [0.0, 0.0]],
+                                 [10.0, 0.0], on_zero_total=ZERO_TOTAL_DROP)
+        self.assert_same_arrays(econ, build_economy(["live"], [[10.0]], [10.0]))
+        assert len(caplog.records) == 1
+
+    def test_generated_drop_is_the_kept_table(self, caplog):
+        base, _ = generate_economy(GeneratorConfig(n=50, seed=4))
+        C, D = base.transactions.copy(), base.demand.copy()
+        C[[7, 30], :] = 0.0
+        D[[7, 30]] = 0.0
+        with caplog.at_level(logging.WARNING, logger="iofootprint.economy"):
+            econ = build_economy(base.sectors, C, D, on_zero_total=ZERO_TOTAL_DROP)
+        keep = [i for i in range(50) if i not in (7, 30)]
+        expected = build_economy([base.sectors[i] for i in keep],
+                                 C[np.ix_(keep, keep)], D[keep])
+        self.assert_same_arrays(econ, expected)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"dropping zero-output sectors: {base.sectors[7]}, {base.sectors[30]}"]

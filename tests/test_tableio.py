@@ -890,3 +890,34 @@ class TestOneLabelRule:
             with pytest.raises(error) as exc:
                 parse_table(write(tmp_path, "t.csv", text))
             assert str(exc.value) == message
+
+
+class TestTablesAWriterRefuses:
+    """Each writer refuses, before a file opens, what no file can carry."""
+
+    @staticmethod
+    def assert_all_writers_refuse(tmp_path, econ, account, message):
+        for write in (lambda: write_table(econ, tmp_path / "t.csv"),
+                      lambda: serialize_table(econ),
+                      lambda: write_emissions(account, econ, tmp_path / "e.csv"),
+                      lambda: serialize_emissions(account, econ)):
+            with pytest.raises(ParseError, match=message):
+                write()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("sectors, unit", [
+        (("a\ud800", "b"), "MU"),
+        (("a", "b"), "M\udfff"),
+    ])
+    def test_lone_surrogate(self, tmp_path, sectors, unit):
+        econ = Economy(sectors, np.eye(2), np.ones(2), np.ones(2), np.full(2, 2.0),
+                       money_unit=unit)
+        account = EmissionAccount(np.ones(2), emission_unit=unit)
+        self.assert_all_writers_refuse(tmp_path, econ, account,
+                                       "cannot be written as UTF-8")
+
+    def test_no_sectors(self, tmp_path):
+        econ = Economy((), np.zeros((0, 0)), [], [], [], "MU")
+        account = EmissionAccount(np.zeros(0), emission_unit="kt")
+        self.assert_all_writers_refuse(tmp_path, econ, account,
+                                       "^a table file needs at least one sector$")
