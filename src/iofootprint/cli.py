@@ -278,8 +278,11 @@ def run_command(argv) -> int:
         try:
             tree, ok = args.func(args)
             sys.stdout.write(render(tree))
-        except (FootprintError, OSError) as err:
-            kind = "FileError" if isinstance(err, OSError) else type(err).__name__
+        except (FootprintError, OSError, MemoryError) as err:
+            # numpy raises a subclass of MemoryError for a table too large to hold
+            kind = ("FileError" if isinstance(err, OSError)
+                    else "MemoryError" if isinstance(err, MemoryError)
+                    else type(err).__name__)
             sys.stderr.write(render({"error": {"type": kind, "message": str(err)}}))
             return 1
         finally:

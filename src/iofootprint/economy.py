@@ -168,6 +168,28 @@ def _check_sector_labels(sectors) -> tuple[str, ...]:
     return labels
 
 
+def _drop_passes(labels, C, D, zero, cascade: bool) -> np.ndarray:
+    """Positions of the sectors kept by the drop policy; one warning per pass.
+
+    Pass one drops the ``zero`` sectors. With derived totals (``cascade``)
+    each later pass drops the kept sectors with zero demand and no kept
+    buyer, as a sum of nonnegative finite floats is positive iff a term is.
+    """
+    kept = ~zero
+    buyers = np.count_nonzero(C, axis=1) if cascade else None
+    while zero.any():
+        logger.warning("dropping zero-output sectors: %s",
+                       ", ".join(labels[i] for i in np.flatnonzero(zero)))
+        if not kept.any():
+            raise ZeroTotal("all sectors have zero total output")
+        if not cascade:
+            break
+        buyers -= np.count_nonzero(C[:, zero], axis=1)
+        zero = kept & (buyers == 0) & (D == 0)
+        kept &= ~zero
+    return np.flatnonzero(kept)
+
+
 # Derived sums that overflow become inf or NaN, which the balance gate at the
 # end rejects as a typed error; numpy's warnings about them would be noise.
 @np.errstate(over="ignore", invalid="ignore")
@@ -187,61 +209,49 @@ def build_economy(sectors, transactions, demand, value_added=None, totals=None,
 
     Sectors with zero total output cannot be normalized; by default they
     raise :class:`ZeroTotal` naming the sector. ``on_zero_total="drop"``
-    removes them, logging one warning, and runs every step above again on
-    the kept rows and columns (and the kept supplied totals and value
-    added), so the reduced table takes every check of a whole table. A
-    sector whose output falls to zero with a removal is dropped on that
-    next pass, with a warning of its own; :class:`ZeroTotal` is raised
-    when no sector is left.
+    removes them, logging one warning per pass: later passes drop each
+    sector whose derived output falls to zero with a removal. All passes
+    are found first, so the kept rows and columns are sliced, derived and
+    checked once; :class:`ZeroTotal` is raised when no sector is left.
 
     Value added may legitimately be negative in published tables; pass
     ``allow_negative_value_added=True`` to accept that. Transactions,
-    demand, and totals must always be nonnegative and finite.
+    demand, and totals must always be nonnegative and finite. Inputs are
+    read, not copied; the economy holds the only copy of each.
     """
-    while True:  # once, and again on the kept sectors after each removal
-        labels = _check_sector_labels(sectors)
-        n = len(labels)
-        if on_zero_total not in (ZERO_TOTAL_ERROR, ZERO_TOTAL_DROP):
-            raise ValueError(f"unknown zero-total policy {on_zero_total!r}")
+    labels = _check_sector_labels(sectors)
+    n = len(labels)
+    if on_zero_total not in (ZERO_TOTAL_ERROR, ZERO_TOTAL_DROP):
+        raise ValueError(f"unknown zero-total policy {on_zero_total!r}")
 
-        C = np.array(transactions, dtype=float)
-        D = np.array(demand, dtype=float)
-        _check_shape(C, (n, n), "transaction matrix")
-        _check_shape(D, (n,), "demand")
-        _check_entries(C, "transaction")
-        _check_entries(D, "demand")
+    C = np.asarray(transactions, dtype=float)
+    D = np.asarray(demand, dtype=float)
+    _check_shape(C, (n, n), "transaction matrix")
+    _check_shape(D, (n,), "demand")
+    _check_entries(C, "transaction")
+    _check_entries(D, "demand")
+    T = C.sum(axis=1) + D if totals is None else np.asarray(totals, dtype=float)
+    if totals is not None:
+        _check_shape(T, (n,), "totals")
+        _check_entries(T, "totals")
+    V = None if value_added is None else np.asarray(value_added, dtype=float)
+    if V is not None:
+        _check_shape(V, (n,), "value added")
+        _check_entries(V, "value added", nonnegative=False)
 
-        if totals is not None:
-            T = np.array(totals, dtype=float)
-            _check_shape(T, (n,), "totals")
-            _check_entries(T, "totals")
-        else:
-            T = C.sum(axis=1) + D
-        if value_added is not None:
-            V = np.array(value_added, dtype=float)
-            _check_shape(V, (n,), "value added")
-            _check_entries(V, "value added", nonnegative=False)
-        else:
-            V = T - C.sum(axis=0)
-
-        zero = T <= 0
-        if not zero.any():
-            break
-        names = [labels[i] for i in np.flatnonzero(zero)]
+    zero = T <= 0
+    if zero.any():
         if on_zero_total == ZERO_TOTAL_ERROR:
-            raise ZeroTotal(
-                f"sector {names[0]!r} has zero total output "
-                "(use the drop policy to remove such sectors)",
-                sector=names[0],
-            )
-        logger.warning("dropping zero-output sectors: %s", ", ".join(names))
-        keep = np.flatnonzero(~zero)
-        if not keep.size:
-            raise ZeroTotal("all sectors have zero total output")
-        sectors = [labels[i] for i in keep]
-        transactions, demand = C[np.ix_(keep, keep)], D[keep]
-        value_added = None if value_added is None else V[keep]
-        totals = None if totals is None else T[keep]
+            name = labels[int(np.argmax(zero))]
+            raise ZeroTotal(f"sector {name!r} has zero total output "
+                            "(use the drop policy to remove such sectors)", sector=name)
+        keep = _drop_passes(labels, C, D, zero, cascade=totals is None)
+        labels = tuple(labels[i] for i in keep)
+        C, D = C[np.ix_(keep, keep)], D[keep]
+        T = C.sum(axis=1) + D if totals is None else T[keep]
+        V = None if V is None else V[keep]
+    if V is None:
+        V = T - C.sum(axis=0)
 
     if (V < 0).any() and not allow_negative_value_added:
         i = int(np.argmax(V < 0))

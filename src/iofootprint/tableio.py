@@ -114,13 +114,13 @@ def _check_cell(kind: str, text: str) -> None:
         raise ParseError(f"{kind} {text!r} cannot be written as UTF-8") from None
 
 
-def _read_rows(path) -> Iterator[tuple[int, list[str]]]:
-    """Non-empty rows with the 1-based file line each starts on.
+def _read_rows(path) -> tuple[int, Iterator[tuple[int, list[str]]]]:
+    """A file's decoded length and its non-empty rows, each with its first line.
 
-    Only the label cell is stripped. Numeric cells keep their padding,
-    which :func:`_parse_number` and numpy ignore, and the callers strip
-    the other cells of a header. Trailing blank cells are dropped:
-    spreadsheet exports pad short rows.
+    Lines are 1-based. Only the label cell is stripped. Numeric cells keep
+    their padding, which :func:`_parse_number` and numpy ignore, and the
+    callers strip the other cells of a header. Trailing blank cells are
+    dropped: spreadsheet exports pad short rows.
     """
     with open(path, "rb") as file:
         # Read whole, not streamed: the reader choice below needs the text.
@@ -139,6 +139,10 @@ def _read_rows(path) -> Iterator[tuple[int, list[str]]]:
         rows = _csv_rows(text, limit)
     else:
         rows = _split_rows(text, limit)
+    return len(text), _nonblank(rows)
+
+
+def _nonblank(rows) -> Iterator[tuple[int, list[str]]]:
     for lineno, cells in rows:
         while cells and not cells[-1].strip():
             cells.pop()
@@ -239,7 +243,7 @@ def parse_table(path, *, tol_rel: float = DEFAULT_BALANCE_TOL,
     builder, parse-level problems as :class:`ParseError` with a 1-based
     line (and column where it applies).
     """
-    rows = _read_rows(path)
+    length, rows = _read_rows(path)
     lineno, header = next(rows, (1, None))
     if header is None:
         raise ParseError(f"{path}: file is empty", line=1)
@@ -271,6 +275,11 @@ def parse_table(path, *, tol_rel: float = DEFAULT_BALANCE_TOL,
     _check_labels(sectors, lineno=lineno)
 
     n = len(sectors)
+    # Each of the n sector rows holds at least n + 1 commas and a line end,
+    # so a shorter text is refused before the n x n matrix is allocated.
+    if n * (n + 2) > length:
+        raise ParseError(f"line {lineno}: header names {n} sectors, too many "
+                         f"for a file of {length} characters", line=lineno)
     width = 1 + n + 1 + (1 if has_total_column else 0)
     transactions = np.zeros((n, n))
     demand = np.zeros(n)
@@ -377,7 +386,7 @@ def write_table(econ: Economy, path) -> None:
 
 def parse_emissions(path, econ: Economy) -> EmissionAccount:
     """Parse an emission file and align it to the economy's sector order."""
-    rows = _read_rows(path)
+    _, rows = _read_rows(path)
     lineno, header = next(rows, (1, None))
     if header is None:
         raise ParseError(f"{path}: file is empty", line=1)
@@ -389,6 +398,7 @@ def parse_emissions(path, econ: Economy) -> EmissionAccount:
         )
     unit = header[1].strip()
 
+    known = frozenset(econ.sectors)
     values: dict[str, float] = {}
     for lineno, cells in rows:
         if len(cells) != 2:
@@ -398,7 +408,7 @@ def parse_emissions(path, econ: Economy) -> EmissionAccount:
                 line=lineno,
             )
         label, cell = cells
-        if label not in econ.sectors:
+        if label not in known:
             raise UnknownSector(
                 f"line {lineno}: sector {label!r} does not appear in the table"
             )

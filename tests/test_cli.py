@@ -684,3 +684,53 @@ class TestDropPassesInTheCli:
             "warning.type = iofootprint.economy",
             "warning.message = dropping zero-output sectors: b",
         ]
+
+
+class TestAdversarialSizes:
+    """A wide header, a table too large for memory and a piped table each
+    end in a report or a typed error, never a traceback."""
+
+    @staticmethod
+    def cli(args, **kwargs):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, env["PYTHONPATH"]] if env.get("PYTHONPATH") else [src])
+        return subprocess.run([sys.executable, "-m", "iofootprint.cli", *args],
+                              env=env, capture_output=True, text=True, timeout=120,
+                              **kwargs)
+
+    def test_wide_header_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        header = ",".join(["MU", *(f"s{k}" for k in range(200_000)), "D"]) + "\n"
+        path.write_text(header, encoding="utf-8")
+        assert run_command(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error.type = ParseError",
+            "error.message = line 1: header names 200000 sectors, too many for a "
+            f"file of {len(header)} characters",
+        ]
+
+    def test_memory_error_is_a_typed_failure(self, table, capsys, monkeypatch):
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.98 GiB for an array")
+
+        monkeypatch.setattr("iofootprint.cli.parse_table", too_large)
+        assert run_command(["validate", table]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error.type = MemoryError",
+            "error.message = Unable to allocate 2.98 GiB for an array",
+        ]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"),
+                        reason="no /dev/stdin on this platform")
+    def test_validate_reads_a_piped_table(self, table):
+        from_file = self.cli(["validate", table])
+        piped = self.cli(["validate", "/dev/stdin"], input=WORKED_TABLE)
+        assert from_file.returncode == piped.returncode == 0
+        assert piped.stdout == from_file.stdout
+        assert piped.stderr == from_file.stderr == ""

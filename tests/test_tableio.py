@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -921,3 +922,53 @@ class TestTablesAWriterRefuses:
         account = EmissionAccount(np.zeros(0), emission_unit="kt")
         self.assert_all_writers_refuse(tmp_path, econ, account,
                                        "^a table file needs at least one sector$")
+
+
+class TestHeaderWiderThanItsFile:
+    """A header naming more sectors than its file can hold is refused before
+    the n x n matrix is allocated (200000 sectors would need 298 GiB)."""
+
+    @staticmethod
+    def wide_header(n, corner="MU"):
+        return ",".join([corner, *(f"s{k}" for k in range(n)), "D"]) + "\n"
+
+    @pytest.mark.parametrize("corner", ["MU", '"MU"'], ids=["split", "csv"])
+    def test_two_hundred_thousand_sectors(self, tmp_path, corner):
+        text = self.wide_header(200_000, corner)
+        path = tmp_path / "wide.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            parse_table(path)
+        assert exc.value.line == 1
+        assert str(exc.value) == (
+            f"line 1: header names 200000 sectors, too many for a file of "
+            f"{len(text)} characters")
+
+    def test_smallest_table_passes_the_length_check(self, tmp_path):
+        # n rows of a one-character label, n + 1 one-character cells and a
+        # line end exceed n (n + 2) characters, whatever the header.
+        n = 40
+        body = "".join(f"{chr(0x100 + k)}{',1' * n},1\n" for k in range(n))
+        path = tmp_path / "small.csv"
+        path.write_text(",".join(["", *(chr(0x100 + k) for k in range(n)), "D"])
+                        + "\n" + body, encoding="utf-8")
+        assert parse_table(path).n == n
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(0, 4), extra=st.integers(1, 50_000),
+           quoted=st.booleans())
+    def test_a_header_wider_than_its_body_is_a_parse_error(self, tmp_path_factory,
+                                                           rows, extra, quoted):
+        n = rows + extra
+        body = "".join(f"s{k}{',1' * (rows + 1)}\n" for k in range(rows))
+        path = tmp_path_factory.mktemp("wide") / "table.csv"
+        path.write_text(self.wide_header(n, '"MU"' if quoted else "MU") + body,
+                        encoding="utf-8")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError):
+                parse_table(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < max(8 * n * n, 1 << 20)  # no n x n matrix was allocated
