@@ -49,7 +49,7 @@ from .tableio import parse_emissions, parse_table, write_emissions, write_table
 # Conservation residuals beyond this are treated as a failed attribution.
 ATTRIBUTION_RESIDUAL_LIMIT = 1e-8
 
-# Bounds on user-controlled sizes. Generation holds several n x n float
+# Bounds on user-controlled sizes. Generation holds at most two n x n float
 # arrays at once (the table file is written one row at a time), and
 # perturbation spawns every sample's RNG substream up front; values outside
 # these ranges are usage errors, rejected before anything is allocated.

@@ -58,27 +58,42 @@ class GeneratorConfig:
 def generate_economy(config: GeneratorConfig) -> tuple[Economy, EmissionAccount]:
     """Draw one balanced economy and its emission account.
 
-    The same config always yields the bit-identical pair. The result
-    satisfies both balance identities exactly (totals and value added are
-    derived, not sampled), has all totals and value added strictly
-    positive, and has coefficient column sums, hence spectral radius, at
-    most ``column_sum_cap``.
+    The same config always yields the bit-identical pair on one numpy
+    build with one BLAS thread count (the solve for totals splits its sums
+    by thread, so their last bits can differ between thread counts). The
+    result satisfies both balance identities exactly (totals and value
+    added are derived, not sampled), has all totals and value added
+    strictly positive, and has coefficient column sums, hence spectral
+    radius, at most ``column_sum_cap``.
+
+    One n-by-n matrix is drawn and turned into coefficients, ``I - A`` and
+    transactions in place, so at most two are live at once: it and the
+    solve's or the economy's own copy.
     """
     n = config.n
     rng = np.random.default_rng(config.seed)
 
-    raw = rng.uniform(0.0, 1.0, size=(n, n))
-    col_sums = raw.sum(axis=0)
+    # Bit for bit what rng.uniform(0.0, 1.0, size=(n, n)) draws.
+    matrix = rng.random((n, n))
+    col_sums = matrix.sum(axis=0)
     col_sums[col_sums == 0.0] = 1.0  # all-zero column: leave it zero
     targets = config.column_sum_cap * rng.uniform(0.5, 1.0, size=n)
-    coefficients = raw * (targets / col_sums)[np.newaxis, :]
+    matrix *= (targets / col_sums)[np.newaxis, :]
 
     demand = config.demand_scale * rng.uniform(0.1, 1.0, size=n)
-    totals = np.linalg.solve(np.eye(n) - coefficients, demand)
-    transactions = coefficients * totals[np.newaxis, :]
+    # I - A in place, entry for entry as np.eye(n) - A computes it (off
+    # the diagonal 0.0 - a). 0.0 - (0.0 - a) is a again for finite a >= 0,
+    # and the diagonal is restored from its copy.
+    diagonal = np.diagonal(matrix).copy()
+    np.subtract(0.0, matrix, out=matrix)
+    np.fill_diagonal(matrix, 1.0 - diagonal)
+    totals = np.linalg.solve(matrix, demand)
+    np.subtract(0.0, matrix, out=matrix)
+    np.fill_diagonal(matrix, diagonal)
+    matrix *= totals[np.newaxis, :]
     emissions = config.emission_scale * rng.uniform(0.0, 1.0, size=n)
 
     sectors = [f"S{i + 1}" for i in range(n)]
-    economy = build_economy(sectors, transactions, demand, money_unit="MU")
+    economy = build_economy(sectors, matrix, demand, money_unit="MU")
     account = EmissionAccount(emissions, emission_unit="kt CO2")
     return economy, account

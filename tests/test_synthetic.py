@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from iofootprint import (
     DomainError,
+    EmissionAccount,
     GeneratorConfig,
     allocation_coefficients,
     attribute_to_demand,
     attribute_to_value_added,
+    build_economy,
     direct_intensity,
     generate_economy,
     spectral_radius,
@@ -84,3 +88,54 @@ class TestGenerateEconomy:
         assert demand_report.total_attributed == 0.0
         assert value_report.total_attributed == 0.0
         assert demand_report.conservation_residual == 0.0
+
+
+def reference_generate_economy(config):
+    """Reference construction, with one fresh n-by-n array per step."""
+    n = config.n
+    rng = np.random.default_rng(config.seed)
+    raw = rng.uniform(0.0, 1.0, size=(n, n))
+    col_sums = raw.sum(axis=0)
+    col_sums[col_sums == 0.0] = 1.0
+    targets = config.column_sum_cap * rng.uniform(0.5, 1.0, size=n)
+    coefficients = raw * (targets / col_sums)[np.newaxis, :]
+    demand = config.demand_scale * rng.uniform(0.1, 1.0, size=n)
+    totals = np.linalg.solve(np.eye(n) - coefficients, demand)
+    transactions = coefficients * totals[np.newaxis, :]
+    emissions = config.emission_scale * rng.uniform(0.0, 1.0, size=n)
+    sectors = [f"S{i + 1}" for i in range(n)]
+    economy = build_economy(sectors, transactions, demand, money_unit="MU")
+    return economy, EmissionAccount(emissions, emission_unit="kt CO2")
+
+
+class TestInPlaceConstruction:
+    @pytest.mark.parametrize("seed", [0, 3, 2**70])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
+    def test_bit_identical_to_reference(self, n, seed):
+        configs = [GeneratorConfig(n=n, seed=seed, column_sum_cap=cap)
+                   for cap in (1e-6, 0.9, 0.99)]
+        configs.append(GeneratorConfig(n=n, seed=seed, emission_scale=0.0))
+        for config in configs:
+            econ, acct = generate_economy(config)
+            ref, ref_acct = reference_generate_economy(config)
+            assert econ.sectors == ref.sectors
+            for got, want in ((econ.transactions, ref.transactions),
+                              (econ.demand, ref.demand),
+                              (econ.value_added, ref.value_added),
+                              (econ.totals, ref.totals),
+                              (acct.emissions, ref_acct.emissions)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), config
+
+    def test_holds_two_matrices_at_most(self):
+        # The drawn matrix and the economy's copy; the solve's own copy of
+        # I - A lives in memory numpy does not report to tracemalloc.
+        n = 400
+        generate_economy(GeneratorConfig(n=n, seed=1))  # one-time allocations
+        tracemalloc.start()
+        try:
+            generate_economy(GeneratorConfig(n=n, seed=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * n * n
