@@ -115,34 +115,39 @@ def _cmd_validate(args) -> tuple[dict, bool]:
 def _cmd_intensity(args) -> tuple[dict, bool]:
     econ, account, direct = _load_direct(args)
     coefficients = technical_coefficients(econ)
+    sectors = econ.sectors
     report = {
         "method": args.method,
         "emission_unit": account.emission_unit,
         "money_unit": econ.money_unit,
-        "direct": sector_map(econ.sectors, direct.values),
+        "direct": sector_map(sectors, direct.values),
     }
+    del econ  # frees the transactions before the solve allocates its n x n array
     if args.method == "neumann":
         total, report["terms"] = total_intensity_neumann(direct, coefficients,
                                                          tol=args.tol)
     else:
         total = total_intensity(direct, coefficients)
-    report["total"] = sector_map(econ.sectors, total.values)
+    report["total"] = sector_map(sectors, total.values)
     return {"intensity": report}, True
 
 
 def _cmd_attribute(args) -> tuple[dict, bool]:
     econ, account, direct = _load_direct(args)
+    sectors = econ.sectors
     if args.basis == "demand":
-        total = total_intensity(direct, technical_coefficients(econ))
-        report = attribute_to_demand(total, econ.demand, account)
+        coefficients, weights = technical_coefficients(econ), econ.demand
+        intensity, attribute = total_intensity, attribute_to_demand
     else:
-        systemic = systemic_intensity(direct, allocation_coefficients(econ))
-        report = attribute_to_value_added(systemic, econ.value_added, account)
+        coefficients, weights = allocation_coefficients(econ), econ.value_added
+        intensity, attribute = systemic_intensity, attribute_to_value_added
+    del econ  # frees the transactions before the solve allocates its n x n array
+    report = attribute(intensity(direct, coefficients), weights, account)
     return {
         "attribution": {
             "basis": args.basis,
             "emission_unit": account.emission_unit,
-            "per_sector": sector_map(econ.sectors, report.per_sector),
+            "per_sector": sector_map(sectors, report.per_sector),
             "total_attributed": report.total_attributed,
             "total_emissions": report.total_emissions,
             "conservation_residual": report.conservation_residual,

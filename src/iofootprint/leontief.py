@@ -374,7 +374,8 @@ def technical_coefficients(econ: Economy) -> CoefficientMatrix:
     """
     _require_positive_totals(econ)
     values = econ.transactions / econ.totals[np.newaxis, :]
-    return CoefficientMatrix(CoefficientKind.TECHNICAL, values)
+    _check_entries(values, "coefficient")
+    return CoefficientMatrix._over(CoefficientKind.TECHNICAL, values)
 
 
 def allocation_coefficients(econ: Economy) -> CoefficientMatrix:
@@ -386,7 +387,8 @@ def allocation_coefficients(econ: Economy) -> CoefficientMatrix:
     """
     _require_positive_totals(econ)
     values = econ.transactions / econ.totals[:, np.newaxis]
-    return CoefficientMatrix(CoefficientKind.ALLOCATION, values)
+    _check_entries(values, "coefficient")
+    return CoefficientMatrix._over(CoefficientKind.ALLOCATION, values)
 
 
 def direct_intensity(econ: Economy, account: EmissionAccount) -> IntensityVector:

@@ -25,12 +25,15 @@ is free::
 All numbers are written with 17 significant digits, so a parse of a
 serialized economy reproduces it bit for bit.
 
-A file is read whole and decoded as UTF-8. If it holds no quote and no
-carriage return, as every file written here with plain labels does, its
-lines are split on ``,`` directly; any other file goes through the csv
-module, which reads it the same way. Rows are converted one at a time
+A file is read whole, as bytes, and held once: it is never decoded to
+one string. Its UTF-8 is checked and its characters counted first, in
+line-aligned chunks. If it holds no quote and no carriage return, as
+every file written here with plain labels does, its lines are found at
+its newline bytes, decoded one at a time and split on ``,``; any other
+file goes through the csv module, which reads the bytes through a text
+wrapper and reads them the same way. Rows are converted one at a time
 into the economy's arrays, so no list of every cell exists. The read
-stays whole because choosing the reader needs the whole text.
+stays whole because choosing the reader needs the whole file.
 """
 
 from __future__ import annotations
@@ -115,31 +118,56 @@ def _check_cell(kind: str, text: str) -> None:
 
 
 def _read_rows(path) -> tuple[int, Iterator[tuple[int, list[str]]]]:
-    """A file's decoded length and its non-empty rows, each with its first line.
+    """A file's length in characters and its non-empty rows, each with its first line.
 
     Lines are 1-based. Only the label cell is stripped. Numeric cells keep
     their padding, which :func:`_parse_number` and numpy ignore, and the
     callers strip the other cells of a header. Trailing blank cells are
-    dropped: spreadsheet exports pad short rows.
+    dropped: spreadsheet exports pad short rows. A file that is not UTF-8
+    is refused before any row is read.
     """
     with open(path, "rb") as file:
-        # Read whole, not streamed: the reader choice below needs the text.
+        # Read whole, not streamed: the reader choice below needs every byte.
         data = file.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        lineno = data.count(b"\n", 0, err.start) + 1
-        raise ParseError(
-            f"line {lineno}: byte {data[err.start]:#04x} is not UTF-8 text",
-            line=lineno,
-        ) from None
-    del data
+    length = _utf8_length(data)
     limit = csv.field_size_limit()
-    if '"' in text or "\r" in text:
-        rows = _csv_rows(text, limit)
+    if b'"' in data or b"\r" in data:
+        rows = _csv_rows(data, limit)
     else:
-        rows = _split_rows(text, limit)
-    return len(text), _nonblank(rows)
+        rows = _split_rows(data, limit)
+    return length, _nonblank(rows)
+
+
+# Bytes decoded at once to check a file that is not ASCII. Each chunk ends
+# after the first newline at or beyond this size, so its decoded text (up
+# to four bytes a character) stays small beside the file itself.
+_DECODE_CHUNK = 1 << 16
+
+
+def _utf8_length(data: bytes) -> int:
+    """The number of characters in ``data``; :class:`ParseError` unless it is UTF-8.
+
+    A chunk that ends just after a newline ends between characters (the
+    byte ``0x0a`` occurs in no multibyte sequence), so the chunks decode
+    to the whole file's characters and fail at its first bad byte.
+    """
+    if data.isascii():
+        return len(data)
+    view = memoryview(data)
+    length = start = 0
+    while start < len(data):
+        end = data.find(b"\n", start + _DECODE_CHUNK - 1) + 1 or len(data)
+        try:
+            length += len(str(view[start:end], "utf-8"))
+        except UnicodeDecodeError as err:
+            bad = start + err.start
+            lineno = data.count(b"\n", 0, bad) + 1
+            raise ParseError(
+                f"line {lineno}: byte {data[bad]:#04x} is not UTF-8 text",
+                line=lineno,
+            ) from None
+        start = end
+    return length
 
 
 def _nonblank(rows) -> Iterator[tuple[int, list[str]]]:
@@ -157,16 +185,17 @@ def _oversized(lineno: int, limit: int) -> ParseError:
     )
 
 
-def _split_rows(text: str, limit: int) -> Iterator[tuple[int, list[str]]]:
-    r"""Every line of a text with no quote and no carriage return, as csv reads it.
+def _split_rows(data: bytes, limit: int) -> Iterator[tuple[int, list[str]]]:
+    r"""Every line of UTF-8 bytes with no quote and no carriage return, as csv reads it.
 
-    Lines end at ``"\n"`` only (``str.splitlines`` would also split at
+    Lines end at ``b"\n"`` only (``str.splitlines`` would also split at
     ``"\x0c"``, ``"\x1c"`` or ``"\u2028"``), and cells at every comma.
+    Each line is decoded on its own.
     """
     start = 0
     for lineno in itertools.count(1):
-        end = text.find("\n", start)
-        line = text[start:] if end < 0 else text[start:end]
+        end = data.find(b"\n", start)
+        line = str(data[start:] if end < 0 else data[start:end], "utf-8")
         cells = line.split(",")
         if len(line) > limit and max(map(len, cells)) > limit:
             raise _oversized(lineno, limit)
@@ -176,9 +205,10 @@ def _split_rows(text: str, limit: int) -> Iterator[tuple[int, list[str]]]:
         start = end + 1
 
 
-def _csv_rows(text: str, limit: int) -> Iterator[tuple[int, list[str]]]:
-    """Every record of a text in the csv module's dialect."""
-    reader = csv.reader(io.StringIO(text, newline=""))
+def _csv_rows(data: bytes, limit: int) -> Iterator[tuple[int, list[str]]]:
+    """Every record of UTF-8 bytes in the csv module's dialect."""
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    reader = csv.reader(text)
     lineno = 1
     try:
         for row in reader:

@@ -3,7 +3,9 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,7 @@ from iofootprint import (
     total_intensity_neumann,
     validate_balance,
 )
-from iofootprint import Economy, EmissionAccount
+from iofootprint import Economy, EmissionAccount, cli
 from iofootprint.cli import run_command
 from iofootprint.tableio import write_emissions, write_table
 
@@ -734,3 +736,56 @@ class TestAdversarialSizes:
         assert from_file.returncode == piped.returncode == 0
         assert piped.stdout == from_file.stdout
         assert piped.stderr == from_file.stderr == ""
+
+
+class TestSolvePeak:
+    """A solving command frees the transactions before it factors."""
+
+    N = 400
+
+    @pytest.mark.parametrize("command", [["intensity"],
+                                         ["attribute", "--basis", "value-added"]],
+                             ids=["intensity", "attribute-value-added"])
+    def test_peak_beside_the_file(self, tmp_path, capsys, command):
+        table, emissions = tmp_path / "table.csv", tmp_path / "emissions.csv"
+        econ, account = generate_economy(GeneratorConfig(n=self.N, seed=3))
+        write_table(econ, table)
+        write_emissions(account, econ, emissions)
+        del econ, account
+        argv = [command[0], str(table), str(emissions), *command[1:]]
+        assert run_command(argv) == 0  # loads LAPACK outside the measurement
+        tracemalloc.start()
+        try:
+            assert run_command(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak - table.stat().st_size <= 1.5 * 8 * self.N ** 2
+
+    @pytest.mark.parametrize("command", [
+        ["intensity"], ["intensity", "--method", "neumann"],
+        ["attribute"], ["attribute", "--basis", "value-added"],
+    ], ids=["intensity", "neumann", "attribute", "attribute-value-added"])
+    def test_economy_is_freed_before_the_solve(self, table, emissions, monkeypatch,
+                                               capsys, command):
+        economies, alive = [], []
+
+        def parse(*args, **kwargs):
+            econ = parse_table(*args, **kwargs)
+            economies.append(weakref.ref(econ))
+            return econ
+
+        def spy(solve):
+            def spied(*args, **kwargs):
+                alive.append(economies[0]() is not None)
+                return solve(*args, **kwargs)
+            return spied
+
+        monkeypatch.setattr(cli, "parse_table", parse)
+        for name in ("total_intensity", "total_intensity_neumann",
+                     "systemic_intensity"):
+            monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
+        assert run_command([command[0], table, emissions, *command[1:]]) == 0
+        capsys.readouterr()
+        assert alive == [False]

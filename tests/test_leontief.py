@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from iofootprint import (
     DomainError,
     Economy,
     EmissionAccount,
+    GeneratorConfig,
     IntensityKind,
     IntensityVector,
     KindMismatch,
@@ -25,6 +27,7 @@ from iofootprint import (
     build_economy,
     consumer_direct_footprint,
     direct_intensity,
+    generate_economy,
     leontief_inverse,
     systemic_intensity,
     systemic_intensity_from_technical,
@@ -484,3 +487,38 @@ class TestOverflow:
         with pytest.raises(NegativeEntry, match=r"^attributed emission entry 0 "
                                                 r"is not finite \(inf\)$"):
             attribute_to_demand(total, [1e10, 1.0], EmissionAccount([1.0, 1.0]))
+
+
+class TestCoefficientsBuiltOnce:
+    """Normalization fills one n x n array and checks it in place."""
+
+    @pytest.mark.parametrize("normalize", [technical_coefficients,
+                                           allocation_coefficients])
+    def test_one_matrix(self, normalize):
+        n = 400
+        econ = generate_economy(GeneratorConfig(n=n, seed=3))[0]
+        normalize(econ)  # one-time allocations
+        tracemalloc.start()
+        try:
+            coefficients = normalize(econ)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not coefficients.values.flags.writeable
+        assert peak <= 1.5 * 8 * n * n
+
+    @pytest.mark.parametrize("normalize, kind", [
+        (technical_coefficients, CoefficientKind.TECHNICAL),
+        (allocation_coefficients, CoefficientKind.ALLOCATION),
+    ])
+    @pytest.mark.parametrize("entry", [-1.0, math.nan])
+    def test_same_error_as_the_constructor(self, normalize, kind, entry):
+        # Direct construction checks only shapes, so a bad flow reaches here.
+        econ = Economy(("a", "b"), [[1.0, 0.0], [entry, 1.0]], [1.0, 1.0],
+                       [1.0, 1.0], [2.0, 2.0])
+        with pytest.raises(NegativeEntry) as expected:
+            CoefficientMatrix(kind, econ.transactions / 2.0)
+        with pytest.raises(NegativeEntry) as got:
+            normalize(econ)
+        assert str(got.value) == str(expected.value)
+        assert got.value.index == expected.value.index == (1, 0)

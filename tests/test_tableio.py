@@ -972,3 +972,42 @@ class TestHeaderWiderThanItsFile:
         finally:
             tracemalloc.stop()
         assert peak < max(8 * n * n, 1 << 20)  # no n x n matrix was allocated
+
+
+class TestFileHeldOnce:
+    """A table file is held once, as bytes, beside the n x n matrix it fills.
+
+    The traced peak above the file's own size stays below one and a half
+    matrices whatever reader the file takes and whatever its labels hold.
+    """
+
+    N = 400
+    VARIANTS = {
+        "plain": lambda data: data,
+        "quoted": lambda data: data.replace(b"MU,", b'"MU",', 1),
+        "crlf": lambda data: data.replace(b"\n", b"\r\n"),
+        "latin-1-label": lambda data: data.replace(b"S1,", "S\xe91,".encode()),
+        "bmp-label": lambda data: data.replace(b"S1,", "S€1,".encode()),
+        "astral-label": lambda data: data.replace(b"S1,", "S\U0001F6001,".encode()),
+    }
+
+    @pytest.fixture(scope="class")
+    def table_bytes(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("held") / "table.csv"
+        write_table(generate_economy(GeneratorConfig(n=self.N, seed=3))[0], path)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_peak_beside_the_file(self, tmp_path, table_bytes, variant):
+        data = self.VARIANTS[variant](table_bytes)
+        path = tmp_path / "table.csv"
+        path.write_bytes(data)
+        parse_table(path)  # one-time allocations
+        tracemalloc.start()
+        try:
+            econ = parse_table(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert econ.n == self.N
+        assert peak - len(data) <= 1.5 * 8 * self.N ** 2
