@@ -51,8 +51,9 @@ ATTRIBUTION_RESIDUAL_LIMIT = 1e-8
 
 # Bounds on user-controlled sizes. Generation holds at most two n x n float
 # arrays at once (the table file is written one row at a time), and
-# perturbation spawns every sample's RNG substream up front; values outside
-# these ranges are usage errors, rejected before anything is allocated.
+# perturbation takes time in proportion to its samples (each makes its RNG
+# substream as it draws); values outside these ranges are usage errors,
+# rejected before anything is allocated.
 GENERATE_MAX_SECTORS = 5000
 PERTURB_MAX_SAMPLES = 100_000
 

@@ -139,8 +139,9 @@ def perturb_inverse(coefficients: CoefficientMatrix, epsilon: float,
                 deviations.append(dev)
 
     diverged = 0
-    substreams = np.random.SeedSequence(seed).spawn(samples)
-    for stream in substreams:
+    for k in range(samples):
+        # Child k of SeedSequence(seed).spawn(samples), made only when drawn.
+        stream = np.random.SeedSequence(seed, spawn_key=(k,))
         # -epsilon + 2 epsilon u, bit for bit what
         # rng.uniform(-epsilon, epsilon, size=base.shape) draws.
         np.random.default_rng(stream).random(out=perturbed)

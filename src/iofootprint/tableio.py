@@ -34,18 +34,43 @@ file goes through the csv module, which reads the bytes through a text
 wrapper and reads them the same way. Rows are converted one at a time
 into the economy's arrays, so no list of every cell exists. The read
 stays whole because choosing the reader needs the whole file.
+
+:func:`parse_table` converts a file's text once per distinct content.
+The output of its text stage (money unit, labels, transactions, demand
+and the V and T vectors, or their absence) is kept in a cache directory,
+``$XDG_CACHE_HOME/iofootprint`` or ``~/.cache/iofootprint``, under a
+BLAKE2b digest of the file's bytes, of ``csv.field_size_limit()`` and of
+the entry format and package version. A later read of the same bytes
+loads that entry in place of converting the text; the economy is then
+built and checked under the call's own tolerance and flags, exactly as
+after a parse. The directory holds at most :data:`_CACHE_ENTRIES`
+entries, the least recently used leaving first. Any failure to read,
+check or write an entry counts as a miss, so results never depend on
+the cache. Emission files are not cached.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
 import math
+import os
+import struct
+import sys
+import tempfile
 from collections.abc import Iterator
+from typing import NamedTuple
 
 import numpy as np
 
+try:  # a plain ``import hashlib`` loads OpenSSL, several MiB of resident memory
+    from _blake2 import blake2b
+except ImportError:  # an interpreter built without its own BLAKE2
+    from hashlib import blake2b
+
+from . import __version__
 from .economy import (
     DEFAULT_BALANCE_TOL,
     Economy,
@@ -117,7 +142,18 @@ def _check_cell(kind: str, text: str) -> None:
         raise ParseError(f"{kind} {text!r} cannot be written as UTF-8") from None
 
 
+def _read_bytes(path) -> bytes:
+    # Read whole, not streamed: choosing the reader needs every byte.
+    with open(path, "rb") as file:
+        return file.read()
+
+
 def _read_rows(path) -> tuple[int, Iterator[tuple[int, list[str]]]]:
+    """:func:`_rows` of the file at ``path``."""
+    return _rows(_read_bytes(path))
+
+
+def _rows(data: bytes) -> tuple[int, Iterator[tuple[int, list[str]]]]:
     """A file's length in characters and its non-empty rows, each with its first line.
 
     Lines are 1-based. Only the label cell is stripped. Numeric cells keep
@@ -126,9 +162,6 @@ def _read_rows(path) -> tuple[int, Iterator[tuple[int, list[str]]]]:
     dropped: spreadsheet exports pad short rows. A file that is not UTF-8
     is refused before any row is read.
     """
-    with open(path, "rb") as file:
-        # Read whole, not streamed: the reader choice below needs every byte.
-        data = file.read()
     length = _utf8_length(data)
     limit = csv.field_size_limit()
     if b'"' in data or b"\r" in data:
@@ -262,6 +295,17 @@ def _parse_numbers(cells: list[str], lineno: int, column: int) -> np.ndarray:
     )
 
 
+class _Text(NamedTuple):
+    """What a table file's text holds: the output of the text stage."""
+
+    money_unit: str
+    sectors: list[str]
+    transactions: np.ndarray
+    demand: np.ndarray
+    value_added: np.ndarray | None
+    totals: np.ndarray | None
+
+
 def parse_table(path, *, tol_rel: float = DEFAULT_BALANCE_TOL,
                 allow_negative_value_added: bool = False,
                 on_zero_total: str = ZERO_TOTAL_ERROR) -> Economy:
@@ -272,8 +316,31 @@ def parse_table(path, *, tol_rel: float = DEFAULT_BALANCE_TOL,
     ``tol_rel`` surface as :class:`ImbalancedTable` from the economy
     builder, parse-level problems as :class:`ParseError` with a 1-based
     line (and column where it applies).
+
+    The file is read once. Its text is converted only when the parse
+    cache (see the module docstring) holds no entry for its bytes; the
+    economy is built from the text stage's output either way. The bytes
+    are held until an entry has loaded, so an entry that fails to load
+    is a miss that still needs no second read of the file.
     """
-    length, rows = _read_rows(path)
+    data = _read_bytes(path)
+    key = _cache_key(data)
+    text = _load_entry(key)
+    if text is None:
+        text = _parse_text(path, data)
+        _store_entry(key, text)
+    del data  # the economy is built without the file beside it
+    return build_economy(
+        text.sectors, text.transactions, text.demand, text.value_added, text.totals,
+        money_unit=text.money_unit, tol_rel=tol_rel,
+        allow_negative_value_added=allow_negative_value_added,
+        on_zero_total=on_zero_total,
+    )
+
+
+def _parse_text(path, data: bytes) -> _Text:
+    """The text stage of :func:`parse_table`: a file's bytes as arrays and labels."""
+    length, rows = _rows(data)
     lineno, header = next(rows, (1, None))
     if header is None:
         raise ParseError(f"{path}: file is empty", line=1)
@@ -371,12 +438,134 @@ def parse_table(path, *, tol_rel: float = DEFAULT_BALANCE_TOL,
                 f"({float(totals_row[worst])!r})"
             )
 
-    return build_economy(
-        sectors, transactions, demand, value_added, totals,
-        money_unit=money_unit, tol_rel=tol_rel,
-        allow_negative_value_added=allow_negative_value_added,
-        on_zero_total=on_zero_total,
+    return _Text(money_unit, sectors, transactions, demand, value_added, totals)
+
+
+# The parse cache. An entry is one file: the tag, a header, the labels as
+# UTF-8 separated by 0xff (a byte UTF-8 never uses, so every label, NULs
+# and line breaks included, reads back exactly), then the float64
+# transactions, demand, and V and T when present, in native byte order.
+
+# Entries kept; the least recently used is removed first.
+_CACHE_ENTRIES = 4
+_ENTRY_SUFFIX = ".parsed"
+# Names the entry layout, the package version that wrote it and its byte
+# order. It is hashed into every key and begins every entry.
+_ENTRY_TAG = (f"iofootprint parse cache 1, version {__version__}, "
+              f"{sys.byteorder}-endian\n").encode()
+# key, n, V present, T present, label bytes
+_ENTRY_HEADER = struct.Struct("<32s4Q")
+_LABEL_SEPARATOR = b"\xff"
+
+
+def _cache_key(data: bytes) -> bytes:
+    """The digest naming the entry for a table file's bytes."""
+    digest = blake2b(_ENTRY_TAG, digest_size=32)
+    digest.update(b"%d\n" % csv.field_size_limit())  # the limit can fail a parse
+    digest.update(data)
+    return digest.digest()
+
+
+def _cache_dir() -> str | None:
+    """``$XDG_CACHE_HOME/iofootprint``, else ``~/.cache/iofootprint``; None if no home.
+
+    As the XDG base directory specification asks, an empty or relative
+    ``XDG_CACHE_HOME`` is ignored.
+    """
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "iofootprint") if os.path.isabs(base) else None
+
+
+def _load_entry(key: bytes) -> _Text | None:
+    """The cached text stage for ``key``, or None on any failure (a miss)."""
+    directory = _cache_dir()
+    if directory is None:
+        return None
+    path = os.path.join(directory, key.hex() + _ENTRY_SUFFIX)
+    try:
+        with open(path, "rb") as file:
+            text = _read_entry(file, key)
+    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
+        return None
+    if text is not None:
+        with contextlib.suppress(OSError):
+            os.utime(path)  # now the most recently used
+    return text
+
+
+def _read_entry(file, key: bytes) -> _Text | None:
+    """An entry's contents, or None unless its tag, key and size all fit."""
+    head = file.read(len(_ENTRY_TAG) + _ENTRY_HEADER.size)
+    if len(head) != len(_ENTRY_TAG) + _ENTRY_HEADER.size or not head.startswith(
+            _ENTRY_TAG):
+        return None
+    stored_key, n, has_v, has_t, label_size = _ENTRY_HEADER.unpack_from(
+        head, len(_ENTRY_TAG))
+    if stored_key != key or n < 1 or has_v > 1 or has_t > 1:
+        return None
+    # The size bounds n before anything of size n x n is allocated.
+    if os.fstat(file.fileno()).st_size != (
+            len(head) + label_size + 8 * n * (n + 1 + has_v + has_t)):
+        return None
+    labels = [str(label, "utf-8")
+              for label in file.read(label_size).split(_LABEL_SEPARATOR)]
+    if len(labels) != n + 1:
+        return None
+    arrays = [np.empty((n, n)), np.empty(n)]
+    arrays += [np.empty(n) if present else None for present in (has_v, has_t)]
+    for array in arrays:
+        if array is not None and file.readinto(array) != array.nbytes:
+            return None
+    return _Text(labels[0], labels[1:], *arrays)
+
+
+def _store_entry(key: bytes, text: _Text) -> None:
+    """Write ``text`` as the entry for ``key``, then evict; every failure is ignored."""
+    directory = _cache_dir()
+    if directory is None:
+        return
+    try:
+        os.makedirs(directory, mode=0o700, exist_ok=True)
+        fd, temp = tempfile.mkstemp(suffix=".tmp", dir=directory)
+    except OSError:
+        return
+    try:
+        with open(fd, "wb") as file:
+            _write_entry(file, key, text)
+        # A reader sees the whole entry or none.
+        os.replace(temp, os.path.join(directory, key.hex() + _ENTRY_SUFFIX))
+        _evict(directory)
+    except OSError:
+        pass
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)  # already gone once the entry is in place
+
+
+def _write_entry(file, key: bytes, text: _Text) -> None:
+    labels = _LABEL_SEPARATOR.join(
+        label.encode("utf-8") for label in [text.money_unit, *text.sectors])
+    vectors = [text.value_added, text.totals]
+    file.write(_ENTRY_TAG)
+    file.write(_ENTRY_HEADER.pack(key, len(text.sectors),
+                                  *(vector is not None for vector in vectors),
+                                  len(labels)))
+    file.write(labels)
+    for array in [text.transactions, text.demand, *vectors]:
+        if array is not None:
+            file.write(array)
+
+
+def _evict(directory: str) -> None:
+    """Remove all but the :data:`_CACHE_ENTRIES` most recently used entries."""
+    entries = sorted(
+        (entry.stat().st_mtime_ns, entry.path) for entry in os.scandir(directory)
+        if entry.name.endswith(_ENTRY_SUFFIX)
     )
+    for _, path in entries[:-_CACHE_ENTRIES]:
+        os.unlink(path)
 
 
 def _cell(text: str) -> str:
@@ -415,7 +604,10 @@ def write_table(econ: Economy, path) -> None:
 
 
 def parse_emissions(path, econ: Economy) -> EmissionAccount:
-    """Parse an emission file and align it to the economy's sector order."""
+    """Parse an emission file and align it to the economy's sector order.
+
+    Emission files are small beside their table and are not cached.
+    """
     _, rows = _read_rows(path)
     lineno, header = next(rows, (1, None))
     if header is None:

@@ -16,6 +16,20 @@ def corpus_sizes():
     return [int(n) for n in sizes]
 
 
+@pytest.fixture(autouse=True)
+def private_parse_cache(tmp_path_factory, monkeypatch):
+    """Each test starts with an empty parse cache of its own.
+
+    ``parse_table`` keeps the parsed text of each table file it reads in
+    ``$XDG_CACHE_HOME/iofootprint``, so without this a test could load what
+    an earlier test parsed and never run the reader it checks. The
+    directory lies outside ``tmp_path``, whose contents tests inspect.
+    """
+    cache = tmp_path_factory.mktemp("xdg-cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    return cache / "iofootprint"
+
+
 @pytest.fixture(scope="session")
 def corpus():
     return [

@@ -157,6 +157,31 @@ class TestPerturbInverse:
             assert report.diverged_count == 0
 
 
+class TestSubstreams:
+    """Draw k uses child k of ``SeedSequence(seed).spawn(samples)``, made when drawn."""
+
+    @staticmethod
+    def state(sequence):
+        return (sequence.entropy, sequence.spawn_key, sequence.pool_size,
+                sequence.generate_state(8).tolist())
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**63, 2**70])
+    @pytest.mark.parametrize("samples", [0, 1, 7])
+    def test_each_draw_is_the_spawned_child(self, worked_economy, monkeypatch,
+                                            seed, samples):
+        used = []
+        default_rng = np.random.default_rng
+
+        def spy(seed_sequence):
+            used.append(self.state(seed_sequence))
+            return default_rng(seed_sequence)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        perturb_inverse(technical_coefficients(worked_economy), 0.01, samples, seed)
+        assert used == [self.state(child)
+                        for child in np.random.SeedSequence(seed).spawn(samples)]
+
+
 class TestDivergingDraws:
     def test_some_draws_diverge_deterministically(self):
         first = perturb_inverse(coeff([[0.995]]), 0.01, 50, seed=1)
