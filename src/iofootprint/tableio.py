@@ -40,13 +40,16 @@ The output of its text stage (money unit, labels, transactions, demand
 and the V and T vectors, or their absence) is kept in a cache directory,
 ``$XDG_CACHE_HOME/iofootprint`` or ``~/.cache/iofootprint``, under a
 BLAKE2b digest of the file's bytes, of ``csv.field_size_limit()`` and of
-the entry format and package version. A later read of the same bytes
-loads that entry in place of converting the text; the economy is then
-built and checked under the call's own tolerance and flags, exactly as
-after a parse. The directory holds at most :data:`_CACHE_ENTRIES`
-entries, the least recently used leaving first. Any failure to read,
-check or write an entry counts as a miss, so results never depend on
-the cache. Emission files are not cached.
+a tag naming the entry format, the package version, the bytes of this
+module's own file and the numpy and Python versions, so that a changed
+reader never loads what another one stored. A later read of the same
+bytes loads that entry in place of converting the text; the economy is
+then built and checked under the call's own tolerance and flags, exactly
+as after a parse. An entry carries a CRC-32 of its contents, and a cache
+directory that is not the user's own or that others may write to is not
+used. The directory holds at most :data:`_CACHE_ENTRIES` entries, the
+least recently used leaving first. Any failure to read, check or write
+an entry counts as a miss. Emission files are not cached.
 """
 
 from __future__ import annotations
@@ -57,9 +60,11 @@ import io
 import itertools
 import math
 import os
+import stat
 import struct
 import sys
 import tempfile
+import zlib
 from collections.abc import Iterator
 from typing import NamedTuple
 
@@ -324,11 +329,15 @@ def parse_table(path, *, tol_rel: float = DEFAULT_BALANCE_TOL,
     is a miss that still needs no second read of the file.
     """
     data = _read_bytes(path)
-    key = _cache_key(data)
-    text = _load_entry(key)
-    if text is None:
+    directory = _cache_dir()
+    if directory is None:
         text = _parse_text(path, data)
-        _store_entry(key, text)
+    else:
+        key = _cache_key(data)
+        text = _load_entry(directory, key)
+        if text is None:
+            text = _parse_text(path, data)
+            _store_entry(directory, key, text)
     del data  # the economy is built without the file beside it
     return build_economy(
         text.sectors, text.transactions, text.demand, text.value_added, text.totals,
@@ -445,17 +454,39 @@ def _parse_text(path, data: bytes) -> _Text:
 # UTF-8 separated by 0xff (a byte UTF-8 never uses, so every label, NULs
 # and line breaks included, reads back exactly), then the float64
 # transactions, demand, and V and T when present, in native byte order.
+# The header's CRC-32 covers the labels and the arrays: it catches a
+# damaged entry, while the directory check keeps other users' files out.
 
-# Entries kept; the least recently used is removed first.
+# Files kept, entries and unfinished temporary files alike; the least
+# recently written or used is removed first.
 _CACHE_ENTRIES = 4
 _ENTRY_SUFFIX = ".parsed"
-# Names the entry layout, the package version that wrote it and its byte
-# order. It is hashed into every key and begins every entry.
-_ENTRY_TAG = (f"iofootprint parse cache 1, version {__version__}, "
-              f"{sys.byteorder}-endian\n").encode()
-# key, n, V present, T present, label bytes
-_ENTRY_HEADER = struct.Struct("<32s4Q")
+_TEMP_SUFFIX = ".tmp"
+# key, n, V present, T present, label bytes, CRC-32 of labels and arrays
+_ENTRY_HEADER = struct.Struct("<32s5Q")
 _LABEL_SEPARATOR = b"\xff"
+
+
+def _entry_tag(source) -> bytes | None:
+    """The tag hashed into every key and beginning every entry; None if unreadable.
+
+    It names the entry layout and its byte order, and everything the text
+    stage's output depends on besides the file: the package version, the
+    bytes of ``source`` (this module's own file, which holds the whole
+    text stage) and the numpy and Python versions that convert the cells.
+    """
+    try:
+        with open(source, "rb") as file:
+            code = blake2b(file.read(), digest_size=16).hexdigest()
+    except OSError:  # run from a zip archive, say
+        return None
+    return (f"iofootprint parse cache 2, version {__version__}, code {code}, "
+            f"numpy {np.__version__}, python {sys.version.split()[0]}, "
+            f"{sys.byteorder}-endian\n").encode()
+
+
+# None turns the cache off: without this module's bytes no key is safe.
+_ENTRY_TAG = _entry_tag(__file__)
 
 
 def _cache_key(data: bytes) -> bytes:
@@ -467,23 +498,40 @@ def _cache_key(data: bytes) -> bytes:
 
 
 def _cache_dir() -> str | None:
-    """``$XDG_CACHE_HOME/iofootprint``, else ``~/.cache/iofootprint``; None if no home.
+    """``$XDG_CACHE_HOME/iofootprint``, else ``~/.cache/iofootprint``; None if no cache.
 
     As the XDG base directory specification asks, an empty or relative
-    ``XDG_CACHE_HOME`` is ignored.
+    ``XDG_CACHE_HOME`` is ignored. There is no cache without a home, off
+    POSIX (where :func:`_private` cannot tell who owns the directory), or
+    when :data:`_ENTRY_TAG` could not be made.
     """
+    if _ENTRY_TAG is None or not hasattr(os, "geteuid"):
+        return None
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):
         base = os.path.join(os.path.expanduser("~"), ".cache")
     return os.path.join(base, "iofootprint") if os.path.isabs(base) else None
 
 
-def _load_entry(key: bytes) -> _Text | None:
+def _private(directory: str) -> bool:
+    """Whether ``directory`` is a directory of this user that no one else may write to."""
+    try:
+        info = os.stat(directory)
+    except OSError:
+        return False
+    return (stat.S_ISDIR(info.st_mode) and info.st_uid == os.geteuid()
+            and not info.st_mode & 0o022)
+
+
+def _entry_path(directory: str, key: bytes) -> str:
+    return os.path.join(directory, key.hex() + _ENTRY_SUFFIX)
+
+
+def _load_entry(directory: str, key: bytes) -> _Text | None:
     """The cached text stage for ``key``, or None on any failure (a miss)."""
-    directory = _cache_dir()
-    if directory is None:
+    if not _private(directory):
         return None
-    path = os.path.join(directory, key.hex() + _ENTRY_SUFFIX)
+    path = _entry_path(directory, key)
     try:
         with open(path, "rb") as file:
             text = _read_entry(file, key)
@@ -496,12 +544,12 @@ def _load_entry(key: bytes) -> _Text | None:
 
 
 def _read_entry(file, key: bytes) -> _Text | None:
-    """An entry's contents, or None unless its tag, key and size all fit."""
+    """An entry's contents, or None unless its tag, key, size and CRC all fit."""
     head = file.read(len(_ENTRY_TAG) + _ENTRY_HEADER.size)
     if len(head) != len(_ENTRY_TAG) + _ENTRY_HEADER.size or not head.startswith(
             _ENTRY_TAG):
         return None
-    stored_key, n, has_v, has_t, label_size = _ENTRY_HEADER.unpack_from(
+    stored_key, n, has_v, has_t, label_size, crc = _ENTRY_HEADER.unpack_from(
         head, len(_ENTRY_TAG))
     if stored_key != key or n < 1 or has_v > 1 or has_t > 1:
         return None
@@ -509,33 +557,42 @@ def _read_entry(file, key: bytes) -> _Text | None:
     if os.fstat(file.fileno()).st_size != (
             len(head) + label_size + 8 * n * (n + 1 + has_v + has_t)):
         return None
-    labels = [str(label, "utf-8")
-              for label in file.read(label_size).split(_LABEL_SEPARATOR)]
-    if len(labels) != n + 1:
-        return None
+    label_bytes = file.read(label_size)
     arrays = [np.empty((n, n)), np.empty(n)]
     arrays += [np.empty(n) if present else None for present in (has_v, has_t)]
     for array in arrays:
         if array is not None and file.readinto(array) != array.nbytes:
             return None
+    if _crc(label_bytes, arrays) != crc:
+        return None
+    labels = [str(label, "utf-8") for label in label_bytes.split(_LABEL_SEPARATOR)]
+    if len(labels) != n + 1:
+        return None
     return _Text(labels[0], labels[1:], *arrays)
 
 
-def _store_entry(key: bytes, text: _Text) -> None:
+def _crc(label_bytes: bytes, arrays) -> int:
+    crc = zlib.crc32(label_bytes)
+    for array in arrays:
+        if array is not None:
+            crc = zlib.crc32(array, crc)
+    return crc
+
+
+def _store_entry(directory: str, key: bytes, text: _Text) -> None:
     """Write ``text`` as the entry for ``key``, then evict; every failure is ignored."""
-    directory = _cache_dir()
-    if directory is None:
-        return
     try:
         os.makedirs(directory, mode=0o700, exist_ok=True)
-        fd, temp = tempfile.mkstemp(suffix=".tmp", dir=directory)
+        if not _private(directory):
+            return
+        fd, temp = tempfile.mkstemp(suffix=_TEMP_SUFFIX, dir=directory)
     except OSError:
         return
     try:
         with open(fd, "wb") as file:
             _write_entry(file, key, text)
         # A reader sees the whole entry or none.
-        os.replace(temp, os.path.join(directory, key.hex() + _ENTRY_SUFFIX))
+        os.replace(temp, _entry_path(directory, key))
         _evict(directory)
     except OSError:
         pass
@@ -548,23 +605,28 @@ def _write_entry(file, key: bytes, text: _Text) -> None:
     labels = _LABEL_SEPARATOR.join(
         label.encode("utf-8") for label in [text.money_unit, *text.sectors])
     vectors = [text.value_added, text.totals]
+    arrays = [text.transactions, text.demand, *vectors]
     file.write(_ENTRY_TAG)
     file.write(_ENTRY_HEADER.pack(key, len(text.sectors),
                                   *(vector is not None for vector in vectors),
-                                  len(labels)))
+                                  len(labels), _crc(labels, arrays)))
     file.write(labels)
-    for array in [text.transactions, text.demand, *vectors]:
+    for array in arrays:
         if array is not None:
             file.write(array)
 
 
 def _evict(directory: str) -> None:
-    """Remove all but the :data:`_CACHE_ENTRIES` most recently used entries."""
-    entries = sorted(
+    """Keep the :data:`_CACHE_ENTRIES` most recent entries and temporary files.
+
+    A temporary file counts as well: one that a killed writer left behind
+    leaves like an entry, once that many newer files have been written.
+    """
+    files = sorted(
         (entry.stat().st_mtime_ns, entry.path) for entry in os.scandir(directory)
-        if entry.name.endswith(_ENTRY_SUFFIX)
+        if entry.name.endswith((_ENTRY_SUFFIX, _TEMP_SUFFIX))
     )
-    for _, path in entries[:-_CACHE_ENTRIES]:
+    for _, path in files[:-_CACHE_ENTRIES]:
         os.unlink(path)
 
 

@@ -8,6 +8,8 @@ give what a cold parse gives: the same economy, or the same error.
 import csv
 import os
 import threading
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,6 +252,12 @@ class TestBadEntries:
         "truncated-arrays": lambda good, other: good[:-8],
         "extra-byte": lambda good, other: good + b"\x00",
         "other-table": lambda good, other: other,
+        # The right header, another table's labels and arrays: only the CRC differs.
+        "other-contents": lambda good, other: good[:TestBadEntries.CONTENTS]
+        + other[TestBadEntries.CONTENTS:],
+        "flipped-array-bit": lambda good, other: TestBadEntries.flipped(good, -3),
+        "flipped-crc-bit": lambda good, other: TestBadEntries.flipped(
+            good, TestBadEntries.CONTENTS - 8),
         "tag": lambda good, other: b"X" + good[1:],
         "wider": lambda good, other: TestBadEntries.with_n(good, 3),
         "narrower": lambda good, other: TestBadEntries.with_n(good, 1),
@@ -259,16 +267,27 @@ class TestBadEntries:
             good, b"\xffs2", b"\x00s2"),
     }
 
+    CONTENTS = len(tableio._ENTRY_TAG) + tableio._ENTRY_HEADER.size
+
     @staticmethod
     def with_n(entry, n):
         at = len(tableio._ENTRY_TAG) + 32
         return entry[:at] + n.to_bytes(8, "little") + entry[at + 8:]
 
     @staticmethod
+    def flipped(entry, at):
+        """``entry`` with the lowest bit of its byte ``at`` flipped."""
+        at %= len(entry)
+        return entry[:at] + bytes([entry[at] ^ 1]) + entry[at + 1:]
+
+    @staticmethod
     def labels_replaced(entry, old, new):
+        """``entry`` with its labels changed and its CRC made to fit them."""
         assert len(old) == len(new)
-        start = len(tableio._ENTRY_TAG) + tableio._ENTRY_HEADER.size
-        return entry[:start] + entry[start:].replace(old, new, 1)
+        start = TestBadEntries.CONTENTS
+        contents = entry[start:].replace(old, new, 1)
+        crc = zlib.crc32(contents).to_bytes(8, "little")
+        return entry[:start - 8] + crc + contents
 
     @pytest.mark.parametrize("corrupt", CORRUPTIONS)
     def test_is_a_miss_and_gets_rewritten(self, tmp_path, monkeypatch,
@@ -321,8 +340,27 @@ class TestKey:
         finally:
             csv.field_size_limit(previous)
         assert tableio.__version__ in tableio._ENTRY_TAG.decode()
+        assert np.__version__ in tableio._ENTRY_TAG.decode()
         monkeypatch.setattr(tableio, "_ENTRY_TAG", tableio._ENTRY_TAG + b"x")
         assert tableio._cache_key(data) != key
+
+    def test_tag_covers_the_reader_code(self, tmp_path):
+        """A changed text stage never loads the entries an older one stored."""
+        source = Path(tableio.__file__).read_bytes()
+        assert tableio._entry_tag(tableio.__file__) == tableio._ENTRY_TAG
+        changed = tmp_path / "tableio.py"
+        changed.write_bytes(source.replace(b"def _parse_text(", b"def _parse_text (", 1))
+        assert tableio._entry_tag(changed) not in (None, tableio._ENTRY_TAG)
+        assert tableio._entry_tag(tmp_path / "missing.py") is None
+
+    def test_no_tag_no_cache(self, tmp_path, monkeypatch, private_parse_cache):
+        monkeypatch.setattr(tableio, "_ENTRY_TAG", None)
+        path = write(tmp_path / "t.csv", WORKED_TABLE)
+        parses = CountParses(monkeypatch)
+        assert outcome(path) == outcome(path)
+        assert isinstance(outcome(path)[0], tuple)
+        assert parses.calls == 3
+        assert not private_parse_cache.exists()
 
 
 class TestLocation:
@@ -338,6 +376,34 @@ class TestLocation:
         parse_table(write(tmp_path / "t.csv", WORKED_TABLE))
         assert len(entries(tmp_path / "home" / ".cache" / "iofootprint")) == 1
         assert not (tmp_path / "relative").exists()
+
+
+class TestSharedDirectory:
+    """A cache directory that another user owns or may write to is not used."""
+
+    def test_group_writable_directory_is_not_used(self, tmp_path, monkeypatch,
+                                                  private_parse_cache):
+        path = write(tmp_path / "t.csv", WORKED_TABLE)
+        expected = outcome(path)
+        (entry,) = entries(private_parse_cache)
+        private_parse_cache.chmod(0o770)
+        entry.unlink()
+        parses = CountParses(monkeypatch)
+        assert outcome(path) == outcome(path) == expected
+        assert parses.calls == 2
+        assert not entries(private_parse_cache)  # nothing stored either
+        private_parse_cache.chmod(0o700)
+        assert outcome(path) == expected
+        assert len(entries(private_parse_cache)) == 1
+
+    def test_entries_of_another_owner_are_not_loaded(self, tmp_path, monkeypatch,
+                                                     private_parse_cache):
+        path = write(tmp_path / "t.csv", WORKED_TABLE)
+        expected = outcome(path)
+        parses = CountParses(monkeypatch)
+        monkeypatch.setattr(os, "geteuid", lambda: os.stat(private_parse_cache).st_uid + 1)
+        assert outcome(path) == expected
+        assert parses.calls == 1
 
 
 class TestEviction:
@@ -362,4 +428,20 @@ class TestEviction:
         parse_table(paths[4])
         assert parses.calls == 1
         assert [names[k].exists() for k in range(4)] == [True, False, True, True]
+        assert len(entries(private_parse_cache)) == 4
+
+    def test_left_temporary_files_count_and_leave(self, tmp_path,
+                                                   private_parse_cache):
+        """A temporary file that a killed writer left is evicted like an entry."""
+        private_parse_cache.mkdir()
+        left = private_parse_cache / ("x" + tableio._TEMP_SUFFIX)
+        left.write_bytes(b"partial")
+        os.utime(left, ns=(0, 0))
+        paths = [write(tmp_path / f"t{k}.csv", WORKED_TABLE.replace("MU", f"MU{k}"))
+                 for k in range(4)]
+        parse_table(paths[0])
+        assert left.exists()  # it may still be being written
+        for path in paths[1:]:
+            parse_table(path)
+        assert not left.exists()
         assert len(entries(private_parse_cache)) == 4

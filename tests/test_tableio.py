@@ -979,6 +979,8 @@ class TestFileHeldOnce:
 
     The traced peak above the file's own size stays below one and a half
     matrices whatever reader the file takes and whatever its labels hold.
+    The warm-up's parse cache entry is removed first, so the measured parse
+    reads the text and stores an entry.
     """
 
     N = 400
@@ -998,71 +1000,42 @@ class TestFileHeldOnce:
         return path.read_bytes()
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_peak_beside_the_file(self, tmp_path, table_bytes, variant):
+    def test_peak_beside_the_file(self, tmp_path, private_parse_cache, table_bytes,
+                                  variant):
         data = self.VARIANTS[variant](table_bytes)
-        path = tmp_path / "table.csv"
-        path.write_bytes(data)
-        parse_table(path)  # one-time allocations
-        tracemalloc.start()
-        try:
-            econ = parse_table(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert econ.n == self.N
-        assert peak - len(data) <= 1.5 * 8 * self.N ** 2
-
-
-
-class TestCacheHeldOnce:
-    """Both paths through the parse cache hold a table file once.
-
-    A parse that follows a parse of the same bytes is a cache hit, so the
-    measured parse of TestFileHeldOnce loads a stored entry. Here the
-    warm-up's entry is removed first, so the measured parse converts the
-    text of each variant, and a hit is measured on its own. A hit reads
-    the entry's arrays straight into the economy's own, so its peak above
-    the file stays near one matrix, far below the two a copying load holds.
-    """
-
-    N = 400
-
-    @pytest.fixture(scope="class")
-    def table_bytes(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("held") / "table.csv"
-        write_table(generate_economy(GeneratorConfig(n=self.N, seed=3))[0], path)
-        return path.read_bytes()
-
-    def peak(self, path):
-        tracemalloc.start()
-        try:
-            econ = parse_table(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert econ.n == self.N
-        return peak
-
-    @pytest.mark.parametrize("variant", TestFileHeldOnce.VARIANTS)
-    def test_miss_peak_beside_the_file(self, tmp_path, private_parse_cache,
-                                       table_bytes, variant):
-        data = TestFileHeldOnce.VARIANTS[variant](table_bytes)
         path = tmp_path / "table.csv"
         path.write_bytes(data)
         parse_table(path)  # one-time allocations
         for entry in private_parse_cache.iterdir():
             entry.unlink()
-        peak = self.peak(path)
+        tracemalloc.start()
+        try:
+            econ = parse_table(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert econ.n == self.N
         assert len(list(private_parse_cache.iterdir())) == 1  # stored by the miss
         assert peak - len(data) <= 1.5 * 8 * self.N ** 2
 
     def test_hit_peak_beside_the_file(self, tmp_path, private_parse_cache,
                                       table_bytes):
+        """A cache hit reads the entry's arrays straight into the economy's own.
+
+        Its peak above the file stays near one matrix, far below the two a
+        copying load holds.
+        """
         path = tmp_path / "table.csv"
         path.write_bytes(table_bytes)
         parse_table(path)  # a miss: stores the entry
         (entry,) = private_parse_cache.iterdir()
         stored = entry.stat().st_ino
-        peak = self.peak(path)
+        tracemalloc.start()
+        try:
+            econ = parse_table(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert econ.n == self.N
         assert entry.stat().st_ino == stored  # loaded, not replaced by a miss
         assert peak - len(table_bytes) <= 1.1 * 8 * self.N ** 2
