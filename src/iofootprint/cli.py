@@ -50,10 +50,12 @@ from .tableio import parse_emissions, parse_table, write_emissions, write_table
 ATTRIBUTION_RESIDUAL_LIMIT = 1e-8
 
 # Bounds on user-controlled sizes. Generation holds at most two n x n float
-# arrays at once (the table file is written one row at a time), and
-# perturbation takes time in proportion to its samples (each makes its RNG
-# substream as it draws); values outside these ranges are usage errors,
-# rejected before anything is allocated.
+# arrays at once (the table file is written one row at a time).
+# Perturbation holds up to two per BLAS thread it may use, whatever the
+# sample count, and takes time in proportion to its samples, spread over
+# those threads (each sample makes its RNG substream as it draws). Values
+# outside these ranges are usage errors, rejected before anything is
+# allocated.
 GENERATE_MAX_SECTORS = 5000
 PERTURB_MAX_SAMPLES = 100_000
 

@@ -36,6 +36,7 @@ path) load no scipy at all.
 
 from __future__ import annotations
 
+import ctypes
 import enum
 import functools
 import importlib.machinery
@@ -43,6 +44,7 @@ import importlib.util
 import math
 import os
 import sys
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -192,6 +194,149 @@ def _lapack():
     return importlib.import_module(name)
 
 
+class _ThreadCount:
+    """The thread count of one OpenBLAS library, pinned to one while held.
+
+    The count is process-wide. ``openblas_set_num_threads_local``, which
+    returns the old count, changes the count every thread uses in the
+    OpenBLAS builds numpy and scipy bundle (0.3.30 and 0.3.31 checked),
+    just as the plain setters do. So the pin counts the threads holding
+    it, saves the count the first one found and restores it when the last
+    one leaves. Each thread sets the count to one as it takes the pin,
+    which also covers a library whose local setter is truly per thread. A
+    thread that already holds the pin only counts its nested holds: every
+    factorization inside a ``perturb`` worker's pin takes that path.
+    """
+
+    def __init__(self, swap):
+        self._swap = swap  # sets a count and returns the one it replaced
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._saved = 1
+        self._depth = threading.local()  # this thread's nested holds
+
+    def pin(self) -> int:
+        """Set the count to one; returns the count before the first holder."""
+        depth = getattr(self._depth, "value", 0)
+        if depth == 0:
+            with self._lock:
+                old = self._swap(1)
+                if self._holders == 0:
+                    self._saved = old
+                self._holders += 1
+        self._depth.value = depth + 1
+        return self._saved
+
+    def unpin(self) -> None:
+        depth = self._depth.value - 1
+        self._depth.value = depth
+        if depth == 0:
+            with self._lock:
+                self._holders -= 1
+                if self._holders == 0:
+                    self._swap(self._saved)
+
+
+_THREAD_COUNT_LOCK = threading.Lock()
+
+
+@functools.cache
+def _thread_count(path: str) -> _ThreadCount | None:
+    """The OpenBLAS thread count the extension module at ``path`` calls into.
+
+    The setter is looked up through the module itself, so the symbol found
+    is the one of the library that module links. None when there is none
+    (another BLAS, or a platform where the lookup does not see it).
+    """
+    try:
+        library = ctypes.CDLL(path)
+    except OSError:
+        return None
+    local = getattr(library, "openblas_set_num_threads_local", None)
+    if local is not None:
+        local.argtypes, local.restype = [ctypes.c_int], ctypes.c_int
+        return _ThreadCount(local)
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("", "64_"):
+            set_ = getattr(library, f"{prefix}_set_num_threads{suffix}", None)
+            get = getattr(library, f"{prefix}_get_num_threads{suffix}", None)
+            if set_ is not None and get is not None:
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                get.argtypes, get.restype = [], ctypes.c_int
+
+                def swap(count, set_=set_, get=get):
+                    old = get()
+                    set_(count)
+                    return old
+                return _ThreadCount(swap)
+    return None
+
+
+class _BlasPin:
+    """A reusable context manager: one thread in each of ``counts`` while inside.
+
+    Entering returns the count the first library had before it was first
+    pinned, or None when there is no library to pin.
+    """
+
+    __slots__ = ("_counts",)
+
+    def __init__(self, counts: tuple[_ThreadCount, ...]):
+        self._counts = counts
+
+    def __enter__(self) -> int | None:
+        threads = None
+        for count in self._counts:
+            held = count.pin()
+            if threads is None:
+                threads = held
+        return threads
+
+    def __exit__(self, *exc_info) -> None:
+        for count in reversed(self._counts):
+            count.unpin()
+
+
+@functools.cache
+def _one_blas_thread(*modules) -> _BlasPin:
+    """A pin to one thread in the OpenBLAS each of ``modules`` links.
+
+    ``modules`` are compiled modules: scipy's LAPACK module (:func:`_lapack`)
+    or numpy's ``_umath_linalg``. OpenBLAS splits a factorization's or a
+    solve's sums by thread, so their last bits depend on the thread count;
+    at one thread they repeat on every host. Use it as ``with
+    _one_blas_thread(module) as threads:``; ``threads`` is the count the
+    BLAS had when the call began, or None when no module's library has a
+    setter (the block then runs at the ambient count). One shared pin per
+    set of modules, since every factorization and solve enters one.
+    """
+    with _THREAD_COUNT_LOCK:  # first pins that race still share one count
+        counts = (_thread_count(m.__file__) for m in modules)
+        return _BlasPin(tuple(count for count in counts if count is not None))
+
+
+def _warning_at_caller(message: str, category):
+    """A callable that issues ``message`` later, as the function calling this
+    would now with ``warnings.warn(message, category, stacklevel=2)``.
+
+    The warning names the same location, so filters and the once per
+    location and message de-duplication treat it as they would have then.
+    """
+    frame = sys._getframe(2)
+    filename, lineno, module_globals = (frame.f_code.co_filename, frame.f_lineno,
+                                        frame.f_globals)
+    del frame
+
+    def issue() -> None:
+        warnings.warn_explicit(
+            message, category, filename, lineno,
+            module=module_globals.get("__name__", "<string>"),
+            registry=module_globals.setdefault("__warningregistry__", {}),
+            module_globals=module_globals,
+        )
+    return issue
+
+
 class Factorization:
     """The requirements matrix ``I - A`` of coefficient values ``A``, LU-factored.
 
@@ -204,9 +349,16 @@ class Factorization:
     ``I - A`` is formed in ``work`` when it is given: an n-by-n float array
     in Fortran order, which then holds the LU factors. A caller factoring
     many matrices of one size reuses it to allocate nothing per matrix.
+
+    Every LAPACK call runs at one BLAS thread (:func:`_one_blas_thread`),
+    so the factors and solutions are the same bits at any thread count.
+    Given a list as ``deferred``, a :class:`ConditioningWarning` is not
+    issued but appended to it, as a callable that issues it later as if
+    from here (see :func:`_warning_at_caller`).
     """
 
-    def __init__(self, values: np.ndarray, *, work: np.ndarray | None = None):
+    def __init__(self, values: np.ndarray, *, work: np.ndarray | None = None,
+                 deferred: list | None = None):
         lapack = _lapack()
         n = len(values)
         matrix = np.empty((n, n), order="F") if work is None else work
@@ -214,17 +366,18 @@ class Factorization:
         # computes it (off the diagonal 0.0 - a, so zeros stay +0.0).
         np.subtract(0.0, values, out=matrix)
         np.fill_diagonal(matrix, 1.0 - np.diagonal(values))
-        # A 1-norm that overflows is inf, which makes gecon fail; the info
-        # gate below turns that into SingularSystem.
-        anorm = lapack.dlange("1", matrix)
-        # An exactly singular U (info > 0) gets rcond 0 from gecon, which
-        # the rcond gate below turns into SingularSystem.
-        lu, piv, info = lapack.dgetrf(matrix, overwrite_a=True)
-        if info < 0:
-            raise SingularSystem(
-                f"LU factorization failed (LAPACK info={info})", rcond=None
-            )
-        rcond, info = lapack.dgecon(lu, anorm, norm="1")
+        with _one_blas_thread(lapack):
+            # A 1-norm that overflows is inf, which makes gecon fail; the info
+            # gate below turns that into SingularSystem.
+            anorm = lapack.dlange("1", matrix)
+            # An exactly singular U (info > 0) gets rcond 0 from gecon, which
+            # the rcond gate below turns into SingularSystem.
+            lu, piv, info = lapack.dgetrf(matrix, overwrite_a=True)
+            if info < 0:
+                raise SingularSystem(
+                    f"LU factorization failed (LAPACK info={info})", rcond=None
+                )
+            rcond, info = lapack.dgecon(lu, anorm, norm="1")
         if info != 0:
             raise SingularSystem(
                 f"condition estimation failed (LAPACK info={info})", rcond=None
@@ -237,12 +390,12 @@ class Factorization:
                 rcond=rcond,
             )
         if rcond < RCOND_WARN:
-            warnings.warn(
-                f"matrix is poorly conditioned (rcond {rcond:.3e}); "
-                "results may lose accuracy",
-                ConditioningWarning,
-                stacklevel=2,
-            )
+            message = (f"matrix is poorly conditioned (rcond {rcond:.3e}); "
+                       "results may lose accuracy")
+            if deferred is None:
+                warnings.warn(message, ConditioningWarning, stacklevel=2)
+            else:
+                deferred.append(_warning_at_caller(message, ConditioningWarning))
         self._lu_piv = (lu, piv)
         self._rcond = rcond
 
@@ -258,8 +411,10 @@ class Factorization:
         With ``overwrite``, a float ``rhs`` in Fortran order is overwritten
         by the solution and returned; any other ``rhs`` is copied.
         """
-        x, info = _lapack().dgetrs(*self._lu_piv, rhs,
-                                   trans=1 if transposed else 0, overwrite_b=overwrite)
+        lapack = _lapack()
+        with _one_blas_thread(lapack):
+            x, info = lapack.dgetrs(*self._lu_piv, rhs,
+                                    trans=1 if transposed else 0, overwrite_b=overwrite)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
         return x
@@ -403,7 +558,8 @@ def direct_intensity(econ: Economy, account: EmissionAccount) -> IntensityVector
 
 def leontief_inverse(coefficients: CoefficientMatrix, *,
                      out: np.ndarray | None = None,
-                     work: np.ndarray | None = None) -> np.ndarray:
+                     work: np.ndarray | None = None,
+                     deferred: list | None = None) -> np.ndarray:
     """The requirements inverse ``(I - A)^-1``, formed explicitly.
 
     Computed as n linear solves against the identity on a single
@@ -414,12 +570,14 @@ def leontief_inverse(coefficients: CoefficientMatrix, *,
 
     ``out`` receives the inverse and ``work`` the factors (see
     :class:`Factorization`); both are n-by-n float arrays in Fortran order.
-    Given both, nothing of size n-by-n is allocated.
+    Given both, nothing of size n-by-n is allocated. ``out`` may share
+    memory with the coefficient values: they are read only before it is
+    written. ``deferred`` is passed on to :class:`Factorization`.
 
     Raises :class:`SingularSystem` (with the estimated reciprocal condition
     number) when ``I - A`` is singular to working precision.
     """
-    factorization = Factorization(coefficients.values, work=work)
+    factorization = Factorization(coefficients.values, work=work, deferred=deferred)
     n = coefficients.n
     if out is None:
         out = np.empty((n, n), order="F")

@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .economy import Economy, EmissionAccount, build_economy
 from .errors import DomainError
+from .leontief import _one_blas_thread
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,8 @@ def generate_economy(config: GeneratorConfig) -> tuple[Economy, EmissionAccount]
     """Draw one balanced economy and its emission account.
 
     The same config always yields the bit-identical pair on one numpy
-    build with one BLAS thread count (the solve for totals splits its sums
-    by thread, so their last bits can differ between thread counts). The
+    build, at any BLAS thread count: the solve for totals runs at one
+    thread, since a split of its sums by thread moves their last bits. The
     result satisfies both balance identities exactly (totals and value
     added are derived, not sampled), has all totals and value added
     strictly positive, and has coefficient column sums, hence spectral
@@ -87,7 +89,8 @@ def generate_economy(config: GeneratorConfig) -> tuple[Economy, EmissionAccount]
     diagonal = np.diagonal(matrix).copy()
     np.subtract(0.0, matrix, out=matrix)
     np.fill_diagonal(matrix, 1.0 - diagonal)
-    totals = np.linalg.solve(matrix, demand)
+    with _one_blas_thread(_umath_linalg):
+        totals = np.linalg.solve(matrix, demand)
     np.subtract(0.0, matrix, out=matrix)
     np.fill_diagonal(matrix, diagonal)
     matrix *= totals[np.newaxis, :]

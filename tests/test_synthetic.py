@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from iofootprint import (
     DomainError,
@@ -19,6 +20,7 @@ from iofootprint import (
     total_intensity,
     validate_balance,
 )
+from iofootprint.leontief import _one_blas_thread
 
 
 class TestGeneratorConfig:
@@ -91,7 +93,10 @@ class TestGenerateEconomy:
 
 
 def reference_generate_economy(config):
-    """Reference construction, with one fresh n-by-n array per step."""
+    """Reference construction, with one fresh n-by-n array per step.
+
+    The solve runs at one BLAS thread, as ``generate_economy``'s does.
+    """
     n = config.n
     rng = np.random.default_rng(config.seed)
     raw = rng.uniform(0.0, 1.0, size=(n, n))
@@ -100,7 +105,8 @@ def reference_generate_economy(config):
     targets = config.column_sum_cap * rng.uniform(0.5, 1.0, size=n)
     coefficients = raw * (targets / col_sums)[np.newaxis, :]
     demand = config.demand_scale * rng.uniform(0.1, 1.0, size=n)
-    totals = np.linalg.solve(np.eye(n) - coefficients, demand)
+    with _one_blas_thread(_umath_linalg):
+        totals = np.linalg.solve(np.eye(n) - coefficients, demand)
     transactions = coefficients * totals[np.newaxis, :]
     emissions = config.emission_scale * rng.uniform(0.0, 1.0, size=n)
     sectors = [f"S{i + 1}" for i in range(n)]
